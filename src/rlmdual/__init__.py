@@ -2,11 +2,8 @@
 
 from .scalars import (
     ModelParams,
-    QuadratureConfig,
-    DEFAULT_QUAD,
     QuadratureError,
     PoleError,
-    dual_params,
     k_of_t,
     g_of_t,
     g_dual_of_t,
@@ -50,6 +47,8 @@ from .model import (
     divisibility_max,
 )
 from .verify import (
+    QuadratureConfig,
+    DEFAULT_QUAD,
     SuperOpFamily,
     ResidualReport,
     rlm_family,

@@ -16,8 +16,10 @@ stdout stays silent unless --stdout is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,12 +31,11 @@ from .markov import (
     semigroup_propagator,
     semigroup_propagator_hat,
     slip_operator,
-    slip_propagator,
     slip_propagator_hat,
 )
 from .model import DIVERGES, NUMBER_OP, RlmProvider, ScanConfig, divisibility_max, \
     pole_catalog
-from .scalars import ModelParams
+from .scalars import ModelParams, QuadratureError
 from .verify import (
     DEFAULT_FREQS,
     DEFAULT_PARAMS,
@@ -109,27 +110,29 @@ def _parse_rho0(text: str) -> np.ndarray:
 
 def cmd_dynamics(args) -> int:
     params = _parse_params(args)
+    if params.gamma == 0.0:
+        raise ValueError("gamma must be nonzero: the difference step is 1e-4/|gamma|")
     rho0 = _parse_rho0(args.rho0)
     t_lo, t_hi = _parse_range(args.times)
     ts = np.linspace(t_lo, t_hi, args.points)
     provider = RlmProvider(params)
-    slip = slip_operator(params)
     v0 = vectorize(rho0)
-    vn = vectorize(NUMBER_OP)
+    vn = vectorize(NUMBER_OP).conj()
     h = 1e-4 / abs(params.gamma)
-
-    def occ(mat) -> float:
-        return float(np.real(vn.conj() @ (mat @ v0)))
-
-    rows = []
-    for t in ts:
-        occ_exact = provider.occupation(t, rho0)
-        occ_semi = occ(semigroup_propagator(t, params))
-        occ_slip = occ(slip_propagator(t, params, slip=slip))
-        t_minus = max(t - h, 0.0)
-        fd = (provider.occupation(t + h, rho0)
-              - provider.occupation(t_minus, rho0)) / (t + h - t_minus)
-        rows.append([t, occ_exact, occ_semi, occ_slip, fd, provider.current(t, rho0)])
+    t_minus = np.maximum(ts - h, 0.0)
+    fd = (provider.occupation(ts + h, rho0)
+          - provider.occupation(t_minus, rho0)) / (ts + h - t_minus)
+    semigroup = semigroup_propagator(ts, params)
+    slip = semigroup @ slip_operator(params).matrix   # slip_propagator on the same stack
+    columns = [
+        ts,
+        provider.occupation(ts, rho0),
+        np.einsum("i,nij,j->n", vn, semigroup, v0).real,
+        np.einsum("i,nij,j->n", vn, slip, v0).real,
+        fd,
+        provider.current(ts, rho0),
+    ]
+    rows = np.column_stack(columns).tolist()
     header = ["t", "occ_exact", "occ_semigroup", "occ_slip",
               "current_exact", "current_closed_form"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
@@ -361,12 +364,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--opt -0.5,0`` into ``--opt=-0.5,0``: argparse reads a token that
+    starts with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (a build costs about 2 ms)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ __all__ = [
     "ReconstructionError",
     "vectorize",
     "devectorize",
-    "hs_inner",
     "lmul",
     "rmul",
     "lmul_rmul",
@@ -37,7 +36,6 @@ __all__ = [
     "choi_of",
     "superop_from_choi",
     "bipartite_ket_one",
-    "operator_to_bipartite",
     "bipartite_to_operator",
     "bipartite_swap_conj",
     "choi_duality_transform",
@@ -92,11 +90,6 @@ def devectorize(vec: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim * dim != vec.size:
         raise ValueError("vector length is not a perfect square")
     return vec.reshape((dim, dim), order="F").copy()
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
 def lmul(op: np.ndarray) -> np.ndarray:
@@ -181,11 +174,6 @@ def superop_from_choi(c: np.ndarray) -> np.ndarray:
 def bipartite_ket_one(dim: int) -> np.ndarray:
     """Unnormalized maximally entangled vector sum_k |k>|k> (norm sqrt(d))."""
     return np.eye(dim, dtype=complex).reshape(-1)
-
-
-def operator_to_bipartite(m: np.ndarray) -> np.ndarray:
-    """|M> = (M (x) 1)|1>: components M[a, b] at index a*d + b."""
-    return np.asarray(m, dtype=complex).reshape(-1).copy()
 
 
 def bipartite_to_operator(v: np.ndarray, dim: int | None = None) -> np.ndarray:

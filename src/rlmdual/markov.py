@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 from .liouville import (
     identity_superop,
@@ -25,18 +26,8 @@ from .liouville import (
     superadjoint,
     vectorize,
 )
-from .model import IDENTITY_OP, PARITY_OP, RlmProvider, pole_catalog
-from .scalars import (
-    DEFAULT_QUAD,
-    ModelParams,
-    PoleError,
-    QuadratureConfig,
-    _panel_quad,
-    _weighted_k,
-    k_hat,
-    oscillation_panel_width,
-    stationary_cutoff_time,
-)
+from .model import IDENTITY_OP, PARITY_OP, RlmProvider, _golden_max, mode_stack, pole_catalog
+from .scalars import ModelParams, PoleError, g_stationary, g_tail, k_hat
 
 __all__ = [
     "ALWAYS",
@@ -64,33 +55,20 @@ class PoleCollisionError(ValueError):
     """Two stationary eigenvalues coincide; first-order residues undefined."""
 
 
-@dataclass(frozen=True)
-class SlipOperator:
-    matrix: np.ndarray
-    construction: str
-    residues: tuple[tuple[complex, np.ndarray], ...]
+def stationary_generator(params: ModelParams) -> np.ndarray:
+    return RlmProvider(params).generator_stationary()
 
 
-def _provider(params, quad) -> RlmProvider:
-    return RlmProvider(params, quad)
+def semigroup_propagator(t, params: ModelParams) -> np.ndarray:
+    """exp(-i G_inf t): trace preserving, CP whenever the stationary rates are.
+
+    A closed-form mode sum; a 1-D array of times gives an (N,4,4) stack.
+    """
+    return mode_stack(t, params, g_stationary(params))
 
 
-def stationary_generator(params: ModelParams,
-                         quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    return _provider(params, quad).generator_stationary()
-
-
-def semigroup_propagator(t: float, params: ModelParams,
-                         quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    """exp(-i G_inf t): trace preserving, CP whenever the stationary rates are."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return expm(-1j * stationary_generator(params, quad) * t)
-
-
-def semigroup_propagator_hat(e: complex, params: ModelParams,
-                             quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    g_inf = stationary_generator(params, quad)
+def semigroup_propagator_hat(e: complex, params: ModelParams) -> np.ndarray:
+    g_inf = stationary_generator(params)
     return 1j * np.linalg.inv(e * identity_superop(2) - g_inf)
 
 
@@ -126,8 +104,27 @@ def _residue_radius(params: ModelParams, pole: complex) -> float:
     return min(1e-3 * abs(params.gamma), 0.3 * spacing)
 
 
-def slip_operator(params: ModelParams, quad: QuadratureConfig = DEFAULT_QUAD,
-                  method: str = "closed-form") -> SlipOperator:
+def _residues(params: ModelParams) -> tuple[tuple[complex, np.ndarray], ...]:
+    """-i Res of the frequency-domain propagator at each stationary eigenvalue."""
+    provider = RlmProvider(params)
+    return tuple(
+        (p, -1j * _contour_residue(provider.propagator_hat, p, _residue_radius(params, p)))
+        for p in _stationary_poles(params))
+
+
+@dataclass(frozen=True)
+class SlipOperator:
+    matrix: np.ndarray
+    construction: str
+    params: ModelParams
+
+    @cached_property
+    def residues(self) -> tuple[tuple[complex, np.ndarray], ...]:
+        """Contour residues at the stationary eigenvalues, evaluated on first use."""
+        return _residues(self.params)
+
+
+def slip_operator(params: ModelParams, method: str = "closed-form") -> SlipOperator:
     """Initial-slip correction S with Pi(t) ~ exp(-i G_inf t) S at long times.
 
     ``closed-form`` uses 1 + (k_hat(iG/2) - k_hat(-iG/2))/2 |parity><1|, the
@@ -135,53 +132,45 @@ def slip_operator(params: ModelParams, quad: QuadratureConfig = DEFAULT_QUAD,
     terms set to zero.  ``residue-sum`` accumulates -i Res of the
     frequency-domain propagator at each distinct stationary eigenvalue by
     contour quadrature.  Both paths agree; the residues are attached either
-    way.
+    way (computed on first access for the closed form).
     """
-    poles = _stationary_poles(params)
-    provider = _provider(params, quad)
-    residues = tuple(
-        (p, -1j * _contour_residue(provider.propagator_hat, p, _residue_radius(params, p)))
-        for p in poles
-    )
+    _stationary_poles(params)
     if method == "residue-sum":
-        matrix = sum(r for _, r in residues)
-    elif method == "closed-form":
-        gam = params.gamma
-        try:
-            coeff = 0.5 * (k_hat(0.5j * gam, params) - k_hat(-0.5j * gam, params))
-        except PoleError as exc:
-            raise PoleError(
-                "slip coefficient diverges: k_hat(-i gamma/2) sits on the "
-                f"breakdown ladder ({exc})") from exc
-        matrix = identity_superop(2) + coeff * np.outer(
-            vectorize(PARITY_OP), vectorize(IDENTITY_OP).conj())
-    else:
+        return SlipOperator(np.asarray(sum(r for _, r in _residues(params))), method, params)
+    if method != "closed-form":
         raise ValueError("method must be 'closed-form' or 'residue-sum'")
-    return SlipOperator(np.asarray(matrix), method, residues)
+    gam = params.gamma
+    try:
+        coeff = 0.5 * (k_hat(0.5j * gam, params) - k_hat(-0.5j * gam, params))
+    except PoleError as exc:
+        raise PoleError(
+            "slip coefficient diverges: k_hat(-i gamma/2) sits on the "
+            f"breakdown ladder ({exc})") from exc
+    matrix = identity_superop(2) + coeff * np.outer(
+        vectorize(PARITY_OP), vectorize(IDENTITY_OP).conj())
+    return SlipOperator(matrix, method, params)
 
 
-def slip_propagator(t: float, params: ModelParams,
-                    quad: QuadratureConfig = DEFAULT_QUAD,
+def slip_propagator(t, params: ModelParams,
                     slip: SlipOperator | None = None) -> np.ndarray:
-    """exp(-i G_inf t) S; TP, but not CP at early times when S is nontrivial."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    """exp(-i G_inf t) S; TP, but not CP at early times when S is nontrivial.
+
+    A 1-D array of times gives an (N,4,4) stack.
+    """
     if slip is None:
-        slip = slip_operator(params, quad)
-    return semigroup_propagator(t, params, quad) @ slip.matrix
+        slip = slip_operator(params)
+    return semigroup_propagator(t, params) @ slip.matrix
 
 
 def slip_propagator_hat(e: complex, params: ModelParams,
-                        quad: QuadratureConfig = DEFAULT_QUAD,
                         slip: SlipOperator | None = None) -> np.ndarray:
     if slip is None:
-        slip = slip_operator(params, quad)
-    return semigroup_propagator_hat(e, params, quad) @ slip.matrix
+        slip = slip_operator(params)
+    return semigroup_propagator_hat(e, params) @ slip.matrix
 
 
 def cp_onset_time(params: ModelParams, t_max: float | None = None,
                   cp_tol: float = 1e-9,
-                  quad: QuadratureConfig = DEFAULT_QUAD,
                   scan_points: int = 400, bisect_tol: float | None = None):
     """Time after which the slip-corrected propagator stays completely positive.
 
@@ -196,11 +185,11 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
         t_max = 1e3 / min(gam, temp)
     if bisect_tol is None:
         bisect_tol = 1e-3 / temp
-    g_inf = stationary_generator(params, quad)
-    slip = slip_operator(params, quad)
+    g_inf = g_stationary(params)
+    slip = slip_operator(params).matrix
 
     def min_eig(t):
-        return is_cp(expm(-1j * g_inf * t) @ slip.matrix, cp_tol)[1]
+        return is_cp(mode_stack(t, params, g_inf) @ slip, cp_tol)[1]
 
     lin = np.linspace(0.0, t_max, scan_points // 2)
     log = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, scan_points // 2)
@@ -223,8 +212,7 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
     for t in np.geomspace(max(onset, bisect_tol), t_max, 64):
         if t > onset and min_eig(t) < -cp_tol:
             # CP did not persist; the scan missed a later violation
-            return cp_onset_time(params, t_max, cp_tol, quad, 2 * scan_points,
-                                 bisect_tol)
+            return cp_onset_time(params, t_max, cp_tol, 2 * scan_points, bisect_tol)
     return float(onset)
 
 
@@ -257,27 +245,11 @@ def breakdown_locator(temperature: float, detuning: float, n_max: int = 2,
     peaks = []
     for i in range(1, len(gams) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] > threshold:
-            lo, hi = gams[i - 1], gams[i + 1]
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            fc, fd = size(c), size(d)
-            while b - a > 1e-10 * temperature:
-                if fc > fd:
-                    b, d, fd = d, c, fc
-                    c = b - phi * (b - a)
-                    fc = size(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + phi * (b - a)
-                    fd = size(d)
-            peaks.append(0.5 * (a + b))
+            peaks.append(_golden_max(size, gams[i - 1], gams[i + 1], 1e-10 * temperature)[0])
     return peaks
 
 
 def heisenberg_stationary_generator(params: ModelParams,
-                                    quad: QuadratureConfig = DEFAULT_QUAD,
                                     path_tol: float = 1e-7) -> np.ndarray:
     """Stationary Heisenberg generator with the dual map applied after t -> inf.
 
@@ -287,18 +259,16 @@ def heisenberg_stationary_generator(params: ModelParams,
     Cross-checked against [S^-1 G_inf S]^sadj; disagreement raises.
     """
     gam = params.gamma
-    provider = _provider(params, quad)
-    g_inf = provider.generator_stationary()
+    g_inf = stationary_generator(params)
     pmat = parity_superop(PARITY_OP)
     ident = identity_superop(2)
 
     dual = params.dual()
     g_dual_stationary = -k_hat(-0.5j * gam, params).real
-    dual_provider = _provider(dual, quad)
-    g_inf_dual = dual_provider._generator_from_g(g_dual_stationary)
+    g_inf_dual = RlmProvider(dual)._generator_from_g(g_dual_stationary)
     via_duality = 1j * gam * ident - pmat @ g_inf_dual @ pmat
 
-    slip = slip_operator(params, quad)
+    slip = slip_operator(params)
     via_slip = superadjoint(np.linalg.solve(slip.matrix, g_inf @ slip.matrix))
     defect = float(np.abs(via_duality - via_slip).max())
     if defect > path_tol * max(1.0, abs(gam)):
@@ -316,7 +286,6 @@ class RegularizedSlip:
 
 
 def regularized_slip_limit(params: ModelParams,
-                           quad: QuadratureConfig = DEFAULT_QUAD,
                            horizon_factor: float = 40.0) -> RegularizedSlip:
     """Slip as the zero-frequency residue of the transform of e^{i G_inf t} Pi(t).
 
@@ -327,7 +296,7 @@ def regularized_slip_limit(params: ModelParams,
     limit of e^{i G_inf t} Pi(t) diverges on the horizon, which happens once
     the coupling exceeds the thermal threshold.
     """
-    provider = _provider(params, quad)
+    provider = RlmProvider(params)
     g_inf = provider.generator_stationary()
     dec = spectral_decompose(g_inf)
 
@@ -347,24 +316,16 @@ def regularized_slip_limit(params: ModelParams,
 
     # Naive-limit probe.  The only entry of e^{i G_inf t} Pi(t) that can grow
     # is the parity-row coefficient e^{gamma t}(g(t) - g_inf) + g_dual(t);
-    # evaluating the tail integral g(t) - g_inf directly keeps the product
+    # taking the tail g(t) - g_inf as its exponential series keeps the product
     # numerically stable at any horizon (a matrix-product probe would drown
-    # in e^{gamma t}-amplified quadrature noise).
+    # in e^{gamma t}-amplified rounding noise).
     gam = params.gamma
-    delta = params.detuning
-    temp = params.temperature
-    horizon = horizon_factor / min(abs(gam), math.pi * temp)
+    horizon = horizon_factor / min(abs(gam), math.pi * params.temperature)
     probe_end = min(horizon, 600.0 / abs(gam))  # keep exp(gamma t) in range
-    t_inf = stationary_cutoff_time(params, quad)
-    width = oscillation_panel_width(params)
-    diverges = False
-    final_norm = 0.0
-    for t in np.linspace(0.25 * probe_end, probe_end, 8):
-        tail = -_panel_quad(lambda s: _weighted_k(s, delta, temp, -0.5 * gam),
-                            t, max(t_inf, t), width, quad)
-        coeff = math.exp(gam * t) * tail + provider.g_dual(t)
-        final_norm = max(1.0, 0.5 * abs(coeff))
-        if final_norm > 1e6:
-            diverges = True
-            break
+    ts = np.linspace(0.25 * probe_end, probe_end, 8)
+    coeff = np.exp(gam * ts) * g_tail(ts, params) + provider.g_dual(ts)
+    norms = np.maximum(1.0, 0.5 * np.abs(coeff))
+    over = np.flatnonzero(norms > 1e6)
+    diverges = over.size > 0
+    final_norm = float(norms[over[0] if diverges else -1])
     return RegularizedSlip(matrix, diverges, final_norm, horizon)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 from .liouville import (
     SpectralDecomposition,
@@ -29,19 +29,17 @@ from .liouville import (
     dissipator,
     identity_superop,
     vectorize,
-    devectorize,
 )
 from .scalars import (
-    DEFAULT_QUAD,
     ModelParams,
     PoleError,
-    QuadratureConfig,
+    g_dual_of_t,
     g_of_t,
     g_stationary,
     k_hat,
     k_hat_pole_ladder,
     k_of_t,
-    p_of_t,
+    p_from_g,
     weighted_kernel_grid,
 )
 
@@ -53,6 +51,7 @@ __all__ = [
     "PARITY_OP",
     "IDENTITY_OP",
     "d_eta",
+    "mode_stack",
     "RlmProvider",
     "PoleCatalog",
     "pole_catalog",
@@ -73,6 +72,7 @@ _DISS_PLUS = dissipator(CREATOR)    # eta = +, jump d_+ = d^dag
 _DISS_MINUS = dissipator(ANNIHILATOR)
 _DISS_SUM = _DISS_PLUS + _DISS_MINUS
 _DISS_DIFF = _DISS_PLUS - _DISS_MINUS
+_VEC_NUMBER = vectorize(NUMBER_OP)
 
 
 def d_eta(eta: int) -> np.ndarray:
@@ -80,82 +80,110 @@ def d_eta(eta: int) -> np.ndarray:
     return CREATOR if eta > 0 else ANNIHILATOR
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.outer(vectorize(a), vectorize(b).conj())
+
+
+# |right><left| pairs of the four closed-form modes, the stationary and parity
+# modes split into their s-independent parts and the |parity><1| part
+_MODE_BASIS = np.array([
+    0.5 * _outer(IDENTITY_OP, IDENTITY_OP),
+    _outer(ANNIHILATOR, ANNIHILATOR),
+    _outer(CREATOR, CREATOR),
+    0.5 * _outer(PARITY_OP, PARITY_OP),
+    _outer(PARITY_OP, IDENTITY_OP),
+]).reshape(5, 16)
+
+
+def _closed_modes(values, s: float) -> SpectralDecomposition:
+    """Modes of exp(-i G t) or G for the generator with parity scalar s."""
+    modes = (
+        SpectralMode(values[0], 0.5 * (IDENTITY_OP + s * PARITY_OP), IDENTITY_OP),
+        SpectralMode(values[1], ANNIHILATOR, ANNIHILATOR),
+        SpectralMode(values[2], CREATOR, CREATOR),
+        SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - s * IDENTITY_OP)),
+    )
+    return SpectralDecomposition(modes, ((0,), (1,), (2,), (3,)))
+
+
+def _generator_eigenvalues(params: ModelParams) -> np.ndarray:
+    """0, -eps - i gamma/2, eps - i gamma/2 and -i gamma, whatever the parity scalar."""
+    eps, gamma = params.epsilon, params.gamma
+    return np.array([0.0, complex(-eps, -0.5 * gamma), complex(eps, -0.5 * gamma),
+                     complex(0.0, -gamma)])
+
+
+def mode_stack(t, params: ModelParams, s, slip: complex = 0.0) -> np.ndarray:
+    """exp(-i G_s t) (1 + slip |parity><1|) summed over its four closed-form modes.
+
+    G_s is the generator with parity scalar s: the propagator is G_{p(t)} at
+    each t, the semigroup G_{g_inf}.  ``t`` is a float (a 4x4 matrix) or a 1-D
+    array (an (N,4,4) stack); ``s`` is a float or an array matching ``t``.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
+        raise ValueError("time must be nonnegative")
+    lam = np.exp(np.multiply.outer(ts, -1j * _generator_eigenvalues(params)))
+    parity_row = -0.5 * np.expm1(-params.gamma * ts) * s + slip * lam[..., 3]
+    coeffs = np.concatenate([lam, parity_row[..., None]], axis=-1)
+    return (coeffs @ _MODE_BASIS).reshape(ts.shape + (4, 4))
+
+
 class RlmProvider:
     """All representations of the level dynamics at one parameter point.
 
-    Scalar quadratures (g, g_dual, p at a given time) are memoized, so
-    repeated superoperator requests at the same time are cheap.  The memo
-    fills are idempotent, which keeps concurrent use safe.
+    The scalars g, g_dual and p are memoized per time (or per time array), and
+    p is built from the memoized g and g_dual, so repeated superoperator
+    requests at the same times are cheap.  Memoized arrays are read-only.  The
+    memo fills are idempotent, which keeps concurrent use safe.
     """
 
-    def __init__(self, params: ModelParams, quad: QuadratureConfig = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.quad = quad
         self.hamiltonian = params.epsilon * NUMBER_OP
         self._liouvillian = commutator_superop(self.hamiltonian)
         self._memo: dict = {}
 
     # -- memoized scalars ---------------------------------------------------
 
+    def _memoized(self, name: str, t, compute):
+        key = (name, t) if np.ndim(t) == 0 else (name, np.asarray(t, float).tobytes())
+        if key not in self._memo:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
+
     def k(self, t: float) -> float:
         return k_of_t(t, self.params)
 
-    def g(self, t: float) -> float:
-        key = ("g", t)
-        if key not in self._memo:
-            self._memo[key] = g_of_t(t, self.params, self.quad)
-        return self._memo[key]
+    def g(self, t):
+        return self._memoized("g", t, lambda: g_of_t(t, self.params))
 
-    def g_dual(self, t: float) -> float:
-        key = ("g_dual", t)
-        if key not in self._memo:
-            self._memo[key] = g_of_t(t, self.params.dual(), self.quad)
-        return self._memo[key]
+    def g_dual(self, t):
+        return self._memoized("g_dual", t, lambda: g_dual_of_t(t, self.params))
 
-    def p(self, t: float) -> float:
-        key = ("p", t)
-        if key not in self._memo:
-            self._memo[key] = p_of_t(t, self.params, self.quad)
-        return self._memo[key]
+    def p(self, t):
+        return self._memoized(
+            "p", t, lambda: p_from_g(t, self.g(t), self.g_dual(t), self.params))
 
     def g_infinity(self) -> float:
-        key = ("g_inf",)
-        if key not in self._memo:
-            self._memo[key] = g_stationary(self.params, self.quad)
-        return self._memo[key]
+        return g_stationary(self.params)
 
     # -- propagator ---------------------------------------------------------
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i[H,.]t + (Gamma t/2) sum_eta [1 - eta p(t)] D_eta)."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0.0:
-            return identity_superop(DIM)
-        gamma = self.params.gamma
-        p = self.p(t)
-        exponent = (-1j * t) * self._liouvillian \
-            + 0.5 * gamma * t * (_DISS_SUM - p * _DISS_DIFF)
-        return expm(exponent)
+    def propagator(self, t) -> np.ndarray:
+        """exp(-i[H,.]t + (Gamma t/2) sum_eta [1 - eta p(t)] D_eta) from its modes.
+
+        A 1-D array of times gives an (N,4,4) stack.
+        """
+        return mode_stack(t, self.params, self.p(t))
 
     def propagator_spectral(self, t: float) -> SpectralDecomposition:
         """Closed-form eigenmodes of the propagator."""
-        gamma = self.params.gamma
-        eps = self.params.epsilon
-        p = self.p(t) if t > 0 else 0.0
-        values = [
-            1.0 + 0.0j,
-            cmath.exp((1j * eps - 0.5 * gamma) * t),
-            cmath.exp((-1j * eps - 0.5 * gamma) * t),
-            cmath.exp(-gamma * t) + 0.0j,
-        ]
-        modes = (
-            SpectralMode(values[0], 0.5 * (IDENTITY_OP + p * PARITY_OP), IDENTITY_OP),
-            SpectralMode(values[1], ANNIHILATOR, ANNIHILATOR),
-            SpectralMode(values[2], CREATOR, CREATOR),
-            SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - p * IDENTITY_OP)),
-        )
-        return SpectralDecomposition(modes, ((0,), (1,), (2,), (3,)))
+        values = np.exp(-1j * t * _generator_eigenvalues(self.params))
+        return _closed_modes(values, self.p(t) if t > 0 else 0.0)
 
     def kraus_set(self, t: float) -> KrausSet:
         """Closed-form canonical measurement operators and coefficients."""
@@ -201,22 +229,7 @@ class RlmProvider:
         return self._liouvillian + 0.5j * gamma * (_DISS_SUM - g * _DISS_DIFF)
 
     def generator_spectral(self, t: float) -> SpectralDecomposition:
-        gamma = self.params.gamma
-        eps = self.params.epsilon
-        g = self.g(t) if t > 0 else 0.0
-        values = [
-            0.0 + 0.0j,
-            complex(-eps, -0.5 * gamma),
-            complex(eps, -0.5 * gamma),
-            complex(0.0, -gamma),
-        ]
-        modes = (
-            SpectralMode(values[0], 0.5 * (IDENTITY_OP + g * PARITY_OP), IDENTITY_OP),
-            SpectralMode(values[1], ANNIHILATOR, ANNIHILATOR),
-            SpectralMode(values[2], CREATOR, CREATOR),
-            SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - g * IDENTITY_OP)),
-        )
-        return SpectralDecomposition(modes, ((0,), (1,), (2,), (3,)))
+        return _closed_modes(_generator_eigenvalues(self.params), self.g(t) if t > 0 else 0.0)
 
     # -- time-nonlocal kernel -----------------------------------------------
 
@@ -290,20 +303,20 @@ class RlmProvider:
             raise ValueError("initial state must have unit trace")
         return rho0
 
-    def evolve(self, t: float, rho0: np.ndarray) -> np.ndarray:
+    def occupation(self, t, rho0: np.ndarray):
+        """<N>(t); a 1-D array of times gives an array."""
         rho0 = self._check_state(rho0)
-        return devectorize(self.propagator(t) @ vectorize(rho0))
+        occ = np.einsum("i,...ij,j->...", _VEC_NUMBER.conj(), self.propagator(t),
+                        vectorize(rho0)).real
+        return float(occ) if occ.ndim == 0 else occ
 
-    def occupation(self, t: float, rho0: np.ndarray) -> float:
-        rho = self.evolve(t, rho0)
-        return float(np.trace(NUMBER_OP @ rho).real)
-
-    def current(self, t: float, rho0: np.ndarray) -> float:
+    def current(self, t, rho0: np.ndarray):
         """d<N>/dt from the closed form Gamma e^{-Gamma t} [g_dual(t) + <parity>]/2."""
         rho0 = self._check_state(rho0)
         gamma = self.params.gamma
         par0 = float(np.trace(PARITY_OP @ rho0).real)
-        return 0.5 * gamma * math.exp(-gamma * t) * (self.g_dual(t) + par0)
+        out = 0.5 * gamma * np.exp(-gamma * np.asarray(t, float)) * (self.g_dual(t) + par0)
+        return float(out) if out.ndim == 0 else out
 
     def stationary_state(self) -> np.ndarray:
         """Fixed point at t -> infinity: (1 + g_inf * parity) / 2."""
@@ -324,8 +337,7 @@ class PoleCatalog:
         return self.isolated + self.ladder
 
 
-def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False,
-                 quad: QuadratureConfig = DEFAULT_QUAD) -> PoleCatalog:
+def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False) -> PoleCatalog:
     """Exact pole positions of the frequency-domain propagator.
 
     Isolated poles sit at 0, -i Gamma and +-eps - i Gamma/2; the thermal
@@ -340,7 +352,7 @@ def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False,
     ladder = tuple(w - 0.5j * gamma for w in k_hat_pole_ladder(params, n_max))
     catalog = PoleCatalog(isolated, ladder)
     if verify:
-        provider = RlmProvider(params, quad)
+        provider = RlmProvider(params)
         all_p = catalog.all_poles
         for pole in all_p:
             spacing = min((abs(pole - q) for q in all_p if q != pole), default=1.0)
@@ -381,7 +393,8 @@ def _cumulative_g(params: ModelParams, ts: np.ndarray) -> np.ndarray:
     return cumulative_simpson(w, x=ts, initial=0.0)
 
 
-def _golden_max(f, lo, hi, tol):
+def _golden_max(f, lo, hi, tol) -> tuple[float, float]:
+    """Golden-section search for a maximum of f on [lo, hi]: (position, value)."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -396,7 +409,7 @@ def _golden_max(f, lo, hi, tol):
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-    return max(fc, fd)
+    return 0.5 * (a + b), max(fc, fd)
 
 
 def divisibility_max(which: str, params: ModelParams,
@@ -466,5 +479,5 @@ def divisibility_max(which: str, params: ModelParams,
         w = weighted_kernel_grid(grid, p, -0.5 * p.gamma)
         return abs(anchor_g + simpson(w, x=grid))
 
-    refined = _golden_max(f, lo, hi, 1e-4 * (hi - lo))
+    refined = _golden_max(f, lo, hi, 1e-4 * (hi - lo))[1]
     return max(peak, float(refined))

@@ -31,10 +31,11 @@ from .liouville import (
     vectorize,
 )
 from .model import PARITY_OP, RlmProvider
-from .scalars import DEFAULT_QUAD, ModelParams, QuadratureConfig, \
-    QuadratureError, gauss_panels, oscillation_panel_width
+from .scalars import ModelParams, QuadratureError, gauss_panels, oscillation_panel_width
 
 __all__ = [
+    "QuadratureConfig",
+    "DEFAULT_QUAD",
     "SuperOpFamily",
     "ResidualReport",
     "MissingCallbackError",
@@ -60,6 +61,20 @@ __all__ = [
     "family_from_json",
     "run_tabulated_suite",
 ]
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Accuracy target of the quadrature path in :func:`check_fixed_point_stationary`."""
+
+    abs_tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.abs_tol <= 0:
+            raise ValueError("tolerances must be positive")
+
+
+DEFAULT_QUAD = QuadratureConfig()
 
 
 class MissingCallbackError(ValueError):
@@ -163,7 +178,7 @@ def rlm_family(quad: QuadratureConfig = DEFAULT_QUAD) -> SuperOpFamily:
 
     def provider(params: ModelParams) -> RlmProvider:
         if params not in cache:
-            cache[params] = RlmProvider(params, quad)
+            cache[params] = RlmProvider(params)
         return cache[params]
 
     return SuperOpFamily(
@@ -409,6 +424,25 @@ def _optimal_phase_residual(a: np.ndarray, b: np.ndarray) -> float:
     return _maxabs(a - (ov / abs(ov)) * b)
 
 
+def _projector(ops) -> np.ndarray:
+    """Sum of |op><op| over the row-major flattened operators."""
+    return sum(np.outer(op.reshape(-1), op.reshape(-1).conj()) for op in ops)
+
+
+def _match_in_sectors(targets, values):
+    """Greedy bipartite matching of (value, parity) pairs on value distance
+    within equal parity; returns [(i, j, distance)] and the matched index sets."""
+    cand = sorted((abs(v - tv), i, j) for i, (tv, tp) in enumerate(targets)
+                  for j, (v, vp) in enumerate(values) if vp == tp)
+    mi, mj, matches = set(), set(), []
+    for dist, i, j in cand:
+        if i not in mi and j not in mj:
+            mi.add(i)
+            mj.add(j)
+            matches.append((i, j, dist))
+    return matches, mi, mj
+
+
 def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
                         tol: float = 1e-7) -> ResidualReport:
     """Pairing of canonical measurement operators with their dual partners.
@@ -426,21 +460,8 @@ def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
 
     targets = [(math.exp(-gam * t) * term.parity * term.coefficient, term.parity)
                for term in kd.terms]
-    # greedy bipartite matching on coefficient distance within a parity sector
-    cand = []
-    for i, (tv, par) in enumerate(targets):
-        for j, term in enumerate(kr.terms):
-            if term.parity == par:
-                cand.append((abs(term.coefficient - tv), i, j))
-    cand.sort()
-    mi, mj = set(), set()
-    matches = []
-    for dist, i, j in cand:
-        if i in mi or j in mj:
-            continue
-        mi.add(i)
-        mj.add(j)
-        matches.append((i, j, dist))
+    matches, mi, mj = _match_in_sectors(
+        targets, [(term.coefficient, term.parity) for term in kr.terms])
     scale = max(1.0, float(np.abs(kr.coefficients).max()))
     leftover = [abs(targets[i][0]) for i in range(len(kd.terms)) if i not in mi]
     leftover += [abs(kr.terms[j].coefficient) for j in range(len(kr.terms)) if j not in mj]
@@ -462,10 +483,8 @@ def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
         if len(group) < 2 or j != group[0]:
             continue
         partners = [i for (i, jj, _) in matches if jj in group]
-        proj = sum(np.outer(kr.terms[jj].operator.reshape(-1),
-                            kr.terms[jj].operator.reshape(-1).conj()) for jj in group)
-        proj_d = sum(np.outer(kd.terms[i].operator.reshape(-1),
-                              kd.terms[i].operator.reshape(-1).conj()) for i in partners)
+        proj = _projector(kr.terms[jj].operator for jj in group)
+        proj_d = _projector(kd.terms[i].operator for i in partners)
         deg_res.append(_maxabs(lv.bipartite_swap_conj(proj) - proj_d))
     resid = max(coeff_res + op_res + deg_res)
     witness = {"coefficients": coeff_res, "operators": op_res,
@@ -532,20 +551,8 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     ham_res = _maxabs(heis.effective_hamiltonian + sch_dual.effective_hamiltonian)
 
     targets = [(term.parity * term.rate, term.parity) for term in sch_dual.terms]
-    cand = []
-    for i, (tv, par) in enumerate(targets):
-        for j, term in enumerate(heis.terms):
-            if term.parity == par:
-                cand.append((abs(term.rate - tv), i, j))
-    cand.sort()
-    mi, mj = set(), set()
-    matches = []
-    for dist, i, j in cand:
-        if i in mi or j in mj:
-            continue
-        mi.add(i)
-        mj.add(j)
-        matches.append((i, j, dist))
+    matches, mi, mj = _match_in_sectors(
+        targets, [(term.rate, term.parity) for term in heis.terms])
     rate_res = [d for _, _, d in matches]
     rate_res += [abs(sch_dual.terms[i].rate) for i in range(len(targets)) if i not in mi]
     rate_res += [abs(heis.terms[j].rate) for j in range(len(heis.terms)) if j not in mj]
@@ -558,11 +565,8 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
         group = [jj for jj in range(len(rates)) if abs(rates[jj] - rates[j]) < group_tol]
         if len(group) > 1:
             partners = [ii for (ii, jj, _) in matches if jj in group]
-            lhs = sum(np.outer(heis.terms[jj].operator.reshape(-1),
-                               heis.terms[jj].operator.reshape(-1).conj()) for jj in group)
-            rhs = sum(np.outer(sch_dual.terms[ii].operator.reshape(-1),
-                               sch_dual.terms[ii].operator.reshape(-1).conj())
-                      for ii in partners)
+            lhs = _projector(heis.terms[jj].operator for jj in group)
+            rhs = _projector(sch_dual.terms[ii].operator for ii in partners)
             if j == group[0]:
                 deg_res.append(_maxabs(lhs - rhs))
             continue
@@ -762,6 +766,9 @@ def run_suite(family: SuperOpFamily,
         tols.update(tolerances)
     reports: list[ResidualReport] = []
     for params in params_list:
+        if family.gamma_sum(params) == 0.0:
+            raise ValueError(f"coupling sum is zero at {params}: the relations "
+                             "sample times and frequencies in units of gamma")
         reports.append(check_propagator_duality(
             family, params, times, tols["propagator_duality"], freqs=freqs))
         reports.append(check_spectral_cross_relations(
@@ -801,14 +808,6 @@ def run_suite(family: SuperOpFamily,
 # JSON interface for externally supplied families
 # ---------------------------------------------------------------------------
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, complex)]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(x[0], x[1]) for x in row] for row in rows])
-
-
 def _theta_to_json(p: ModelParams) -> dict:
     return {"epsilon": p.epsilon, "mu": p.mu,
             "temperature": p.temperature, "gamma": p.gamma}
@@ -826,7 +825,7 @@ def family_to_json(family: SuperOpFamily, params_list, times, freqs) -> dict:
         arg_json = [arg.real, arg.imag] if isinstance(arg, complex) else float(arg)
         samples.append({"kind": kind, "arg": arg_json,
                         "theta": _theta_to_json(theta),
-                        "matrix": _matrix_to_json(matrix)})
+                        "matrix": lv.matrix_to_json(matrix)["entries"]})
 
     for params in params_list:
         thetas = (params, family.dual_map(params))
@@ -884,7 +883,7 @@ def family_from_json(doc) -> TabulatedFamily:
         theta = _theta_from_json(s["theta"])
         arg = s["arg"]
         arg = complex(arg[0], arg[1]) if isinstance(arg, list) else float(arg)
-        index[(s["kind"], _arg_key(arg), theta)] = _matrix_from_json(s["matrix"])
+        index[(s["kind"], _arg_key(arg), theta)] = lv.matrix_from_json({"entries": s["matrix"]})
         if theta not in thetas:
             thetas.append(theta)
         if s["kind"] in ("propagator", "generator"):

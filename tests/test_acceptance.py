@@ -207,12 +207,18 @@ def test_04_cp_and_unphysicality():
 
 
 def test_05_stationary_g_consistency():
+    # g(inf) is the digamma constant Re k_hat(i gamma/2); the oracle is the
+    # Laplace integral of k at a = gamma/2 summed from 1/sinh x = 2 sum e^{-(2n+1)x}
+    mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     for th in PARAM_SETS:
-        quad_value = g_stationary(th)
-        closed = k_hat(0.5j * th.gamma, th).real
-        worst = max(worst, abs(quad_value - closed))
-    report(5, f"g(inf) quadrature vs digamma form, worst {worst:.3e}")
+        delta, temp = th.detuning, th.temperature
+        laplace = 4 * temp * mpmath.nsum(
+            lambda n: delta / ((th.gamma / 2 + (2 * n + 1) * mpmath.pi * temp) ** 2
+                               + delta ** 2), [0, mpmath.inf], method="euler-maclaurin")
+        worst = max(worst, abs(g_stationary(th) - float(laplace)))
+        assert g_stationary(th) == k_hat(0.5j * th.gamma, th).real
+    report(5, f"g(inf) closed form vs mpmath Laplace sum, worst {worst:.3e}")
     assert worst < 1e-7
 
 

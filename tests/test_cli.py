@@ -182,6 +182,21 @@ class TestErrors:
     def test_bad_perturb_exits_two(self):
         assert run(["duality-check", "--perturb", "mu=2"]) == 2
 
+    @pytest.mark.parametrize("params", ["0.5,0,0.1,1", "0.5,0,0.25,0"])
+    def test_domain_errors_exit_two(self, params, capsys):
+        # below T = gamma/(2 pi) the stationary kernel integral diverges;
+        # gamma = 0 leaves the suite's time and frequency units undefined
+        assert run(["duality-check", "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_negative_leading_param_accepted(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["duality-check", "--params", "-0.5,0,0.25,1", "--out", str(a)]) == 0
+        assert run(["duality-check", "--params=-0.5,0,0.25,1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rlmdual.liouville import (
     identity_superop,
@@ -25,7 +26,9 @@ from rlmdual.markov import (
     slip_operator,
     slip_propagator,
     slip_propagator_hat,
+    stationary_generator,
 )
+from rlmdual import markov, model
 from rlmdual.model import IDENTITY_OP, NUMBER_OP, PARITY_OP, RlmProvider
 from rlmdual.scalars import ModelParams, k_hat
 
@@ -58,7 +61,50 @@ class TestSemigroup:
             assert ok  # stationary rates are positive at these parameters
 
 
+class TestStacks:
+    """Semigroup and slip stacks against scipy's expm of -i G_inf t."""
+
+    THETAS = (TH, ModelParams(-1.3, 0.2, 0.7, -0.4), ModelParams(2.0, 0.0, 0.4, 1.5))
+
+    def test_semigroup_and_slip_against_expm(self):
+        ts = np.linspace(0.0, 8.0, 17)
+        for th in self.THETAS:
+            g_inf = stationary_generator(th)
+            slip = slip_operator(th)
+            semi = semigroup_propagator(ts, th)
+            slipped = slip_propagator(ts, th, slip=slip)
+            assert semi.shape == slipped.shape == (17, 4, 4)
+            for t, a, b in zip(ts, semi, slipped):
+                ref = expm(-1j * g_inf * t)
+                assert np.abs(a - ref).max() < 1e-12
+                assert np.abs(b - ref @ slip.matrix).max() < 1e-12
+
+    def test_stack_entry_equals_float_call(self):
+        ts = np.array([0.0, 0.3, 2.0, 11.0])
+        semi = semigroup_propagator(ts, TH)
+        slipped = slip_propagator(ts, TH)
+        for t, a, b in zip(ts, semi, slipped):
+            assert np.abs(a - semigroup_propagator(float(t), TH)).max() <= 1e-15
+            assert np.abs(b - slip_propagator(float(t), TH)).max() <= 1e-15
+
+    def test_no_matrix_exponential(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("expm called")
+        monkeypatch.setattr(model, "expm", refuse)
+        monkeypatch.setattr(markov, "expm", refuse)
+        th = ModelParams(1.0, 0.0, 0.5, 1.0)
+        RlmProvider(th).propagator(np.linspace(0.0, 3.0, 4))
+        slip_propagator(np.linspace(0.0, 3.0, 4), th)
+        assert isinstance(cp_onset_time(th), float)
+
+
 class TestSlipOperator:
+    def test_residues_evaluated_on_first_access(self):
+        s = slip_operator(TH)
+        assert "residues" not in vars(s)
+        assert len(s.residues) == 4
+        assert "residues" in vars(s)
+
     def test_paths_agree(self):
         s_cl = slip_operator(TH, method="closed-form")
         s_rs = slip_operator(TH, method="residue-sum")

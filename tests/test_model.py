@@ -8,6 +8,8 @@ from scipy.linalg import expm
 
 from rlmdual.liouville import (
     canonical_kraus,
+    commutator_superop,
+    dissipator,
     devectorize,
     gksl_decompose,
     identity_superop,
@@ -18,6 +20,7 @@ from rlmdual.liouville import (
     superadjoint,
     vectorize,
 )
+from rlmdual import model
 from rlmdual.model import (
     ANNIHILATOR,
     CREATOR,
@@ -148,6 +151,51 @@ class TestPropagator:
         conv = np.trapezoid(vals, x=ss, axis=0)
         resid = d + 1j * (pr.kernel_delta() @ pr.propagator(t) + conv)
         assert np.abs(resid).max() < 1e-5
+
+
+class TestPropagatorStack:
+    """Closed-form mode sums against scipy's expm of the same exponent."""
+
+    def exponent(self, th, t, p):
+        diss_plus, diss_minus = dissipator(CREATOR), dissipator(ANNIHILATOR)
+        liouvillian = commutator_superop(th.epsilon * NUMBER_OP)
+        return -1j * t * liouvillian + 0.5 * th.gamma * t * (
+            diss_plus + diss_minus - p * (diss_plus - diss_minus))
+
+    def test_stack_against_expm(self):
+        for th in (TH, ModelParams(-1.3, 0.2, 0.7, -0.4), ModelParams(2.0, 0.0, 0.1, 3.0)):
+            pr = RlmProvider(th)
+            ts = np.linspace(0.0, 6.0, 13)
+            stack = pr.propagator(ts)
+            assert stack.shape == (13, 4, 4)
+            for t, mat in zip(ts, stack):
+                ref = expm(self.exponent(th, t, pr.p(float(t))))
+                assert np.abs(mat - ref).max() < 1e-12
+
+    def test_stack_entry_equals_float_call(self):
+        pr = RlmProvider(TH)
+        ts = np.array([0.0, 0.05, 0.7, 3.1, 9.0])
+        stack = pr.propagator(ts)
+        for t, mat in zip(ts, stack):
+            assert np.abs(mat - RlmProvider(TH).propagator(float(t))).max() <= 1e-15
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            RlmProvider(TH).propagator(np.array([0.5, -0.1]))
+
+    def test_p_served_from_memoized_g(self, monkeypatch):
+        calls = []
+        real = model.g_dual_of_t
+        monkeypatch.setattr(model, "g_dual_of_t",
+                            lambda t, th: calls.append(t) or real(t, th))
+        pr = RlmProvider(TH)
+        ts = np.linspace(0.0, 5.0, 11)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        pr.occupation(ts, rho0)     # p(ts) computes g_dual(ts) once
+        pr.current(ts, rho0)        # served from the memo
+        pr.current(0.4, rho0)
+        pr.p(0.4)
+        assert len(calls) == 2
 
 
 class TestKrausSet:

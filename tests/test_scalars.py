@@ -9,14 +9,15 @@ from rlmdual.scalars import (
     ModelParams,
     PoleError,
     digamma_complex,
-    dual_params,
     g_dual_of_t,
     g_of_t,
     g_stationary,
+    g_tail,
     k_hat,
     k_hat_pole_ladder,
     k_of_t,
     p_of_t,
+    QuadratureError,
     weighted_kernel_grid,
 )
 
@@ -43,7 +44,7 @@ def double_integral_p(t, th):
 class TestModelParams:
     def test_dual_map_values(self):
         th = ModelParams(1.0, 0.5, 0.3, 2.0)
-        d = dual_params(th)
+        d = th.dual()
         assert (d.epsilon, d.mu, d.temperature, d.gamma) == (-1.0, -0.5, 0.3, -2.0)
 
     def test_dual_involution(self):
@@ -166,6 +167,78 @@ class TestP:
         for t in (0.5, 2.0, 8.0):
             assert abs(g_of_t(t, th)) < 1e-3
             assert abs(p_of_t(t, th)) < 1e-3
+
+
+# both signs of gamma, on both sides of |gamma| = 2 pi T
+ORACLE_THETAS = [
+    ModelParams(0.5, 0.0, 0.25, 1.0),      # gamma = 0.64 * 2 pi T
+    ModelParams(-1.3, 0.2, 0.7, -0.4),     # gamma < 0, |gamma| < 2 pi T
+    ModelParams(2.0, 0.0, 0.1, 1.5),       # gamma = 2.4 * 2 pi T
+    ModelParams(1.1, -0.3, 0.2, -2.5),     # gamma < 0, |gamma| = 2.0 * 2 pi T
+]
+
+
+def oracle_times(temp):
+    """1e-3/T to 8/T, with points on both sides of 2 pi T t = 1/2."""
+    x = 2.0 * math.pi * temp
+    return np.array([1e-3 / temp, 0.45 / x, 0.55 / x, 2.0 / temp, 8.0 / temp])
+
+
+def mp_g(mpmath, t, th):
+    """g(t) = int_0^t exp(-gamma s/2) 2T sin(delta s)/sinh(pi T s) ds by mpmath quadrature."""
+    d, temp, gam = th.detuning, th.temperature, th.gamma
+    f = lambda s: mpmath.exp(-gam * s / 2) * 2 * temp * mpmath.sin(d * s) \
+        / mpmath.sinh(mpmath.pi * temp * s)
+    pieces = int(abs(d) * t / (2 * math.pi) + abs(gam) * t / 16) + 2
+    return mpmath.quad(f, mpmath.linspace(0, t, pieces))
+
+
+class TestClosedFormAgainstMpmath:
+    def test_g_g_dual_p(self):
+        mpmath = pytest.importorskip("mpmath")
+        for th in ORACLE_THETAS:
+            ts = oracle_times(th.temperature)
+            g, gd, p = g_of_t(ts, th), g_dual_of_t(ts, th), p_of_t(ts, th)
+            for i, t in enumerate(ts):
+                with mpmath.workdps(20):
+                    rg, rd = mp_g(mpmath, t, th), mp_g(mpmath, t, th.dual())
+                    decay = mpmath.exp(-th.gamma * t)
+                    rp = (rg + decay * rd) / (1 - decay)  # the exact identity
+                for val, ref in ((g[i], rg), (gd[i], rd), (p[i], rp)):
+                    assert abs(val - float(ref)) <= 1e-12 * abs(float(ref)), (th, t)
+
+    def test_tail_is_the_long_time_rest(self):
+        # g(t) - g_inf = -int_t^inf exp(-gamma s/2) k(s) ds, resolved far below g_inf
+        mpmath = pytest.importorskip("mpmath")
+        for th in ORACLE_THETAS[:3]:
+            d, temp, gam = th.detuning, th.temperature, th.gamma
+            rate = math.pi * temp + gam / 2
+            f = lambda s: mpmath.exp(-gam * s / 2) * 2 * temp * mpmath.sin(d * s) \
+                / mpmath.sinh(mpmath.pi * temp * s)
+            span = 60.0 / rate  # the integrand falls by e^-60 over it
+            nodes = mpmath.linspace(0, span, int(abs(d) * span / math.pi) + 2)
+            for t in (1.0 / temp, 8.0 / temp):
+                # scaled to order one: mpmath's error target is absolute
+                with mpmath.workdps(20):
+                    scale = mpmath.exp(rate * t)
+                    ref = -mpmath.quad(lambda u: f(t + u) * scale, nodes + [mpmath.inf]) / scale
+                assert abs(g_tail(t, th) - float(ref)) <= 1e-12 * abs(float(ref))
+
+    def test_array_entries_equal_float_calls(self):
+        for th in ORACLE_THETAS + [ModelParams(0.7, 0.0, 0.3, 1e-9)]:
+            ts = np.concatenate(([0.0], oracle_times(th.temperature), [20.0]))
+            for fn in (g_of_t, g_dual_of_t, p_of_t):
+                arr = fn(ts, th)
+                single = np.array([fn(float(t), th) for t in ts])
+                assert isinstance(fn(float(ts[1]), th), float)
+                assert np.abs(arr - single).max() <= 1e-15
+
+    def test_stationary_limit_needs_net_decay(self):
+        with pytest.raises(QuadratureError):
+            g_stationary(ModelParams(0.5, 0.0, 0.1, -1.0))
+        # the continued constant still anchors g beyond the threshold
+        th = ModelParams(0.5, 0.0, 0.1, -1.0)
+        assert np.isfinite(g_of_t(np.array([0.5, 3.0]), th)).all()
 
 
 class TestDigamma:
