@@ -113,8 +113,8 @@ def _generator_eigenvalues(params: ModelParams) -> np.ndarray:
                      complex(0.0, -gamma)])
 
 
-def mode_stack(t, params: ModelParams, s, slip: complex = 0.0) -> np.ndarray:
-    """exp(-i G_s t) (1 + slip |parity><1|) summed over its four closed-form modes.
+def mode_stack(t, params: ModelParams, s) -> np.ndarray:
+    """exp(-i G_s t) summed over its four closed-form modes.
 
     G_s is the generator with parity scalar s: the propagator is G_{p(t)} at
     each t, the semigroup G_{g_inf}.  ``t`` is a float (a 4x4 matrix) or a 1-D
@@ -124,7 +124,7 @@ def mode_stack(t, params: ModelParams, s, slip: complex = 0.0) -> np.ndarray:
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
     lam = np.exp(np.multiply.outer(ts, -1j * _generator_eigenvalues(params)))
-    parity_row = -0.5 * np.expm1(-params.gamma * ts) * s + slip * lam[..., 3]
+    parity_row = -0.5 * np.expm1(-params.gamma * ts) * s
     coeffs = np.concatenate([lam, parity_row[..., None]], axis=-1)
     return (coeffs @ _MODE_BASIS).reshape(ts.shape + (4, 4))
 

@@ -94,26 +94,14 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def k_of_t(t: float, params: ModelParams) -> float:
-    """Kernel amplitude 2 T sin(delta t) / sinh(pi T t), delta = eps - mu.
-
-    The removable singularity at t = 0 is handled by series expansion;
-    k(0+) = 2 delta / pi.
-    """
+    """Kernel amplitude 2 T sin(delta t) / sinh(pi T t), delta = eps - mu."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    delta = params.detuning
-    temp = params.temperature
     if t == 0.0:
-        return 2.0 * delta / math.pi
-    x = math.pi * temp * t
-    s = math.sin(delta * t)
-    if x < 1e-4:
-        # sinh(x) = x (1 + x^2/6 + x^4/120 + ...), truncation below 1e-12
-        return 2.0 * temp * s / (x * (1.0 + x * x / 6.0 + x ** 4 / 120.0))
-    if x > 350.0:
-        # avoid overflow of sinh; relative error exp(-2x) is negligible
-        return 4.0 * temp * s * math.exp(-x) / (1.0 - math.exp(-2.0 * x))
-    return 2.0 * temp * s / math.sinh(x)
+        return 2.0 * params.detuning / math.pi   # the limit t -> 0+
+    x = math.pi * params.temperature * t   # fused below: exact at small x, no overflow
+    return -4.0 * params.temperature * math.sin(params.detuning * t) * math.exp(-x) \
+        / math.expm1(-2.0 * x)
 
 
 def weighted_kernel_grid(ts: np.ndarray, params: ModelParams, decay: float) -> np.ndarray:
@@ -147,25 +135,30 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _integrate_from_zero(f, ts: np.ndarray, width: float) -> np.ndarray:
-    """int_0^t f(s, t) ds for every t > 0 in ts by composite 24-point Gauss-Legendre.
+_BLOCK = 1 << 16   # Gauss nodes, or (time, panel) pairs, held in memory at once
 
-    Equal panels no wider than ``width``; one call of the vectorized f takes
-    the nodes of all intervals.
+
+def _panel_integrals(f, ts: np.ndarray, width: float):
+    """24-point Gauss-Legendre integrals of f(nodes, panel midpoints), nodes last.
+
+    Returns the integrals over the whole panels [j w, (j+1) w] below max ts
+    (w = ``width``), their count below each t and each t's integral over
+    [floor(t/w) w, t]: the cost grows with max ts / w, not with len(ts).
     """
     nodes, weights = _gauss_rule(24)
     unit, half = 0.5 * (nodes + 1.0), 0.5 * weights   # the rule on [0, 1]
-    if len(ts) == 1:
-        t = ts[0]
-        n = math.ceil(t / width)
-        h = t / n
-        return np.array([((f(h * (np.arange(n)[:, None] + unit), t) @ half) * h).sum()])
-    n = np.ceil(ts / width).astype(int)
-    owner = np.repeat(np.arange(len(ts)), n)
-    h = (ts / n)[owner][:, None]
-    panel = np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
-    vals = f(h * (panel[:, None] + unit), ts[owner][:, None]) @ half
-    return np.bincount(owner, vals * h[:, 0], minlength=len(ts))
+
+    def over(lo, h):   # panels [lo, lo + h] as column vectors
+        return (f(lo + h * unit, lo + 0.5 * h) * (h * half)).sum(axis=-1)
+
+    whole = np.floor(ts / width).astype(np.int64)
+    n = int(whole.max(initial=0))
+    lo = np.concatenate([width * np.arange(n), whole * width])[:, None]
+    h = np.concatenate([np.full(n, width), ts - lo[n:, 0]])[:, None]
+    step = _BLOCK // unit.size
+    vals = np.concatenate(
+        [over(lo[i:i + step], h[i:i + step]) for i in range(0, len(lo), step)], axis=-1)
+    return vals[..., :n], whole, vals[..., n:]
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -180,17 +173,13 @@ def _times(t) -> tuple[np.ndarray, bool]:
 
 def _piecewise(ts: np.ndarray, scalar: bool, first: np.ndarray, f_first, f_second):
     """f_first(mask) where ``first`` holds, f_second(mask) at the other t > 0, 0 at t = 0."""
-    if scalar:
-        if ts[0] == 0.0:
-            return 0.0
-        return float((f_first if first[0] else f_second)(slice(None))[0])
     out = np.zeros_like(ts)
     second = ~first & (ts > 0)
     if first.any():
         out[first] = f_first(first)
     if second.any():
         out[second] = f_second(second)
-    return out
+    return float(out[0]) if scalar else out
 
 
 def _series(ts: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -229,12 +218,16 @@ def g_of_t(t, params: ModelParams):
     if params.detuning == 0.0:
         return 0.0 if scalar else np.zeros_like(ts)
     decay = -0.5 * params.gamma
-    width = oscillation_panel_width(params)
+
+    def quadrature(m):
+        whole_vals, whole, last = _panel_integrals(
+            lambda s, _: weighted_kernel_grid(s, params, decay), ts[m],
+            oscillation_panel_width(params))
+        return np.concatenate([[0.0], np.cumsum(whole_vals)])[whole] + last
+
     return _piecewise(
         ts, scalar, _TWO_PI * params.temperature * ts >= 0.5,
-        lambda m: _g_constant(params) - _series(ts[m], params),
-        lambda m: _integrate_from_zero(
-            lambda s, _: weighted_kernel_grid(s, params, decay), ts[m], width))
+        lambda m: _g_constant(params) - _series(ts[m], params), quadrature)
 
 
 def g_dual_of_t(t, params: ModelParams):
@@ -261,34 +254,56 @@ def g_stationary(params: ModelParams) -> float:
     return _g_constant(params)
 
 
+def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
+    """p = int_0^t R(t, s) k(s) ds, R = sinh(c (t-s)/2) / sinh(c t/2), c = |gamma|.
+
+    About a panel midpoint m, R = alpha cosh(c u/2) - beta u shc(c u/2) with
+    u = s - m and shc(x) = sinh(x)/x, so two panel moments of k serve every t.
+    """
+    c = abs(params.gamma)
+
+    def moments(s, mid):
+        x = 0.5 * c * (s - mid)
+        shc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
+        return np.stack([np.cosh(x), (s - mid) * shc]) * weighted_kernel_grid(s, params, 0.0)
+
+    def combine(t, m, a, b):   # alpha a - beta b, overflow free for m <= t
+        if c == 0.0:
+            return ((t - m) * a - b) / t
+        rest = np.maximum(t - m, 0.0)
+        scale = np.exp(-0.5 * c * m) / -np.expm1(-c * t)
+        return scale * (-np.expm1(-c * rest) * a - 0.5 * c * (1.0 + np.exp(-c * rest)) * b)
+
+    width = oscillation_panel_width(params)
+    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, ts, width)
+    out = combine(ts, 0.5 * (whole * width + ts), a_last, b_last)
+    mids = width * (np.arange(a.size) + 0.5)
+    step = max(1, _BLOCK // max(a.size, 1))
+    for i in range(0, len(ts), step):
+        rows = slice(i, i + step)
+        inside = np.arange(a.size) < whole[rows, None]
+        out[rows] += (combine(ts[rows, None], mids, a, b) * inside).sum(axis=1)
+    return out
+
+
 def p_from_g(t, g, g_dual, params: ModelParams):
     """p at times t (a float or a 1-D array) from g and g_dual at the same times.
 
     Uses ``(1 - exp(-gamma t)) p(t) = g(t) + exp(-gamma t) g_dual(t)`` where
     g has its closed form (2 pi T t >= 1/2) and |gamma t| >= 1e-6.  Below
-    either bound the identity cancels digits, and p is integrated directly by
-    Gauss-Legendre: ``p = int_0^t sinh(gamma (t-s)/2) / sinh(gamma t/2) k(s) ds``,
-    which tends to ``(1/t) int_0^t (t - s) k(s) ds`` as gamma -> 0.
+    either bound the identity cancels digits, and :func:`_p_direct` is used.
     """
     ts, scalar = _times(t)
     gt = params.gamma * ts
     g = np.broadcast_to(g, ts.shape)
     g_dual = np.broadcast_to(g_dual, ts.shape)
-    c = abs(params.gamma)
 
     def identity(m):
         return (g[m] + np.exp(-gt[m]) * g_dual[m]) / -np.expm1(-gt[m])
 
-    def weighted(s, tt):
-        if c == 0.0:
-            return (tt - s) / tt * weighted_kernel_grid(s, params, 0.0)
-        return weighted_kernel_grid(s, params, -0.5 * c) \
-            * np.expm1(-c * (tt - s)) / np.expm1(-c * tt)
-
     return _piecewise(
         ts, scalar, (np.abs(gt) >= 1e-6) & (_TWO_PI * params.temperature * ts >= 0.5),
-        identity,
-        lambda m: _integrate_from_zero(weighted, ts[m], oscillation_panel_width(params)))
+        identity, lambda m: _p_direct(ts[m], params))
 
 
 def p_of_t(t, params: ModelParams):

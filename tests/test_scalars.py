@@ -224,6 +224,29 @@ class TestClosedFormAgainstMpmath:
                     ref = -mpmath.quad(lambda u: f(t + u) * scale, nodes + [mpmath.inf]) / scale
                 assert abs(g_tail(t, th) - float(ref)) <= 1e-12 * abs(float(ref))
 
+    def test_long_window_at_low_temperature(self, monkeypatch):
+        # every time lies below 2 pi T t = 1/2, so all of them take the panel rule
+        mpmath = pytest.importorskip("mpmath")
+        import rlmdual.scalars as scalars
+        th = ModelParams(1.0, 0.0, 1e-4, 0.05)
+        ts = np.linspace(0.0, 300.0, 101)
+        nodes = []
+        kernel = scalars.weighted_kernel_grid
+        monkeypatch.setattr(scalars, "weighted_kernel_grid",
+                            lambda s, *a: nodes.append(np.size(s)) or kernel(s, *a))
+        p = p_of_t(ts, th)
+        # g, g_dual and p share one panel grid: cost ~ max t, not len(ts) * max t
+        panels = ts[-1] / scalars.oscillation_panel_width(th)
+        assert sum(nodes) <= 3 * 24 * (panels + len(ts))
+        for i in (1, 100):   # gamma t = 0.15 and 15
+            t = ts[i]
+            with mpmath.workdps(20):
+                rg, rd = mp_g(mpmath, t, th), mp_g(mpmath, t, th.dual())
+                decay = mpmath.exp(-th.gamma * t)
+                rp = float((rg + decay * rd) / (1 - decay))
+            assert abs(p[i] - rp) <= 1e-12 * abs(rp), t
+            assert abs(g_of_t(t, th) - float(rg)) <= 1e-12 * abs(float(rg)), t
+
     def test_array_entries_equal_float_calls(self):
         for th in ORACLE_THETAS + [ModelParams(0.7, 0.0, 0.3, 1e-9)]:
             ts = np.concatenate(([0.0], oracle_times(th.temperature), [20.0]))
