@@ -42,7 +42,6 @@ from .model import (
     RlmProvider,
     PoleCatalog,
     pole_catalog,
-    ScanConfig,
     DIVERGES,
     divisibility_max,
 )

@@ -33,8 +33,7 @@ from .markov import (
     slip_operator,
     slip_propagator_hat,
 )
-from .model import DIVERGES, NUMBER_OP, RlmProvider, ScanConfig, divisibility_max, \
-    pole_catalog
+from .model import DIVERGES, NUMBER_OP, RlmProvider, divisibility_max, pole_catalog
 from .scalars import ModelParams, QuadratureError
 from .verify import (
     DEFAULT_FREQS,
@@ -147,13 +146,17 @@ def cmd_divisibility_map(args) -> int:
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(y_lo, y_hi, ny)
     gamma = args.gamma
-    scan = ScanConfig(points=args.scan_points, refine=not args.no_refine)
+    if not gamma > 0.0:
+        raise ValueError("--gamma must be positive: the axes are in units of gamma")
+    if min(y_lo, y_hi) < 0.0:
+        raise ValueError("--T-range endpoints must be nonnegative")
     rows = []
     for y in ys:
         for x in xs:
+            # T = 0 is evaluated at 1e-12, where g already equals its T -> 0 limit
             params = ModelParams(x * gamma, 0.0, max(y * gamma, 1e-12), gamma)
-            mg = divisibility_max("g", params, scan)
-            mgd = divisibility_max("g_dual", params, scan)
+            mg = divisibility_max("g", params)
+            mgd = divisibility_max("g_dual", params)
             rows.append([x, y, mg, "inf" if mgd == DIVERGES else mgd])
     header = ["eps_minus_mu_over_gamma", "T_over_gamma", "max_g", "max_g_dual"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
@@ -323,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-range", default="0,3", help="detuning/gamma axis")
     p.add_argument("--T-range", default="0.02,3", help="temperature/gamma axis")
     p.add_argument("--grid", default="121,121")
-    p.add_argument("--scan-points", type=int, default=2000)
-    p.add_argument("--no-refine", action="store_true")
     _add_io_flags(p)
     p.set_defaults(func=cmd_divisibility_map)
 

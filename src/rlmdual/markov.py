@@ -26,7 +26,7 @@ from .liouville import (
     superadjoint,
     vectorize,
 )
-from .model import IDENTITY_OP, PARITY_OP, RlmProvider, _golden_max, mode_stack, pole_catalog
+from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_stack, pole_catalog
 from .scalars import ModelParams, PoleError, g_stationary, g_tail, k_hat
 
 __all__ = [
@@ -214,6 +214,25 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
             # CP did not persist; the scan missed a later violation
             return cp_onset_time(params, t_max, cp_tol, 2 * scan_points, bisect_tol)
     return float(onset)
+
+
+def _golden_max(f, lo, hi, tol) -> tuple[float, float]:
+    """Golden-section search for a maximum of f on [lo, hi]: (position, value)."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), max(fc, fd)
 
 
 def breakdown_locator(temperature: float, detuning: float, n_max: int = 2,

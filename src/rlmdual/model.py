@@ -15,7 +15,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 from .liouville import (
@@ -40,7 +39,6 @@ from .scalars import (
     k_hat_pole_ladder,
     k_of_t,
     p_from_g,
-    weighted_kernel_grid,
 )
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "RlmProvider",
     "PoleCatalog",
     "pole_catalog",
-    "ScanConfig",
     "DIVERGES",
     "divisibility_max",
 ]
@@ -372,112 +369,26 @@ def _circle_max(provider: RlmProvider, center: complex, radius: float, n: int = 
 
 
 # ---------------------------------------------------------------------------
-# divisibility scans
+# divisibility maxima
 # ---------------------------------------------------------------------------
 
 DIVERGES = math.inf
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    points: int = 2000
-    horizon_factor: float = 40.0
-    refine: bool = True
-    divergence_bound: float = 1e3
-    max_extensions: int = 6
+def divisibility_max(which: str, params: ModelParams) -> float:
+    """max_t |g(t)| or |g_dual(t)|; DIVERGES (inf) where the maximum is unbounded.
 
-
-def _cumulative_g(params: ModelParams, ts: np.ndarray) -> np.ndarray:
-    """g on a grid by cumulative Simpson integration of the weighted kernel."""
-    w = weighted_kernel_grid(ts, params, -0.5 * params.gamma)
-    return cumulative_simpson(w, x=ts, initial=0.0)
-
-
-def _golden_max(f, lo, hi, tol) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [lo, hi]: (position, value)."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), max(fc, fd)
-
-
-def divisibility_max(which: str, params: ModelParams,
-                     scan: ScanConfig = ScanConfig()) -> float:
-    """max_t |g(t)| or |g_dual(t)|; returns DIVERGES (inf) for unbounded growth.
-
-    Dense cumulative scan over [0, horizon] with golden-section refinement of
-    the top bracket.  For the dual function the horizon is doubled (up to a
-    cap) while the envelope keeps growing; growth past the divergence bound
-    with a still-rising envelope is classified as DIVERGES.
+    g(t) = int_0^t w(s) sin(delta s) ds with w(s) = exp(-gamma s/2) 2T/sinh(pi T s),
+    and d/ds ln w = -gamma/2 - pi T coth(pi T s) < 0 for all s > 0 whenever
+    gamma >= -2 pi T.  The lobes of sin(delta s) then alternate and shrink, so
+    the maximum is |g(pi/|delta|)|; below -2 pi T the weight grows and g diverges.
+    The dual function is g at (-eps, -mu, -gamma), so it diverges where gamma > 2 pi T.
     """
     if which not in ("g", "g_dual"):
         raise ValueError("which must be 'g' or 'g_dual'")
     p = params if which == "g" else params.dual()
     if p.detuning == 0.0:
         return 0.0
-    rate = min(abs(params.gamma), math.pi * params.temperature)
-    horizon = scan.horizon_factor / rate
-    # at least eight samples per oscillation period of the integrand
-    n_min = int(math.ceil(8.0 * horizon * abs(p.detuning) / math.pi))
-    n = min(max(scan.points, n_min), 400000)
-    ts = np.linspace(0.0, horizon, n)
-    signed = _cumulative_g(p, ts)
-    vals = np.abs(signed)
-
-    if p.gamma < 0.0:
-        extensions = 0
-        while extensions < scan.max_extensions:
-            n4 = max(len(vals) // 4, 1)
-            front = vals[:-n4].max()
-            tail = vals[-n4:].max()
-            if vals.max() > 1e9:
-                return DIVERGES
-            if tail <= front:
-                break
-            if vals.max() > scan.divergence_bound and tail > 1.05 * front:
-                return DIVERGES
-            dt = ts[1] - ts[0]
-            more = ts[-1] + np.arange(1, n) * dt
-            grid = np.concatenate(([ts[-1]], more))
-            w = weighted_kernel_grid(grid, p, -0.5 * p.gamma)
-            inc = cumulative_simpson(w, x=grid, initial=0.0)[1:]
-            signed = np.concatenate((signed, signed[-1] + inc))
-            ts = np.concatenate((ts, more))
-            vals = np.abs(signed)
-            extensions += 1
-        else:
-            n4 = max(len(vals) // 4, 1)
-            if vals[-n4:].max() > vals[:-n4].max() \
-                    and vals.max() > scan.divergence_bound:
-                return DIVERGES
-
-    peak = float(vals.max())
-    if not scan.refine:
-        return peak
-    i = int(np.argmax(vals))
-    j = max(i - 1, 0)
-    lo, hi = ts[j], ts[min(i + 1, len(ts) - 1)]
-    if hi <= lo:
-        return peak
-    anchor_t, anchor_g = ts[j], signed[j]
-
-    def f(t):
-        if t <= anchor_t:
-            return abs(anchor_g)
-        grid = np.linspace(anchor_t, t, 201)
-        w = weighted_kernel_grid(grid, p, -0.5 * p.gamma)
-        return abs(anchor_g + simpson(w, x=grid))
-
-    refined = _golden_max(f, lo, hi, 1e-4 * (hi - lo))[1]
-    return max(peak, float(refined))
+    if p.gamma < -2.0 * math.pi * p.temperature:
+        return DIVERGES
+    return abs(g_of_t(math.pi / abs(p.detuning), p))

@@ -51,7 +51,6 @@ from rlmdual.model import (
     NUMBER_OP,
     PARITY_OP,
     RlmProvider,
-    ScanConfig,
     divisibility_max,
 )
 from rlmdual.scalars import ModelParams, g_stationary, k_hat
@@ -320,11 +319,10 @@ def test_09c_dual_divergence_rows():
     ys = np.linspace(0.02, 3.0, 121)
     xs = np.linspace(0.0, 3.0, 121)
     rows = [y for y in ys if y < 1.0 / (2.0 * math.pi)]
-    scan = ScanConfig(refine=False)
     flagged = True
     for y in rows:
         for x in xs[1::20]:  # sample columns; the scalar vanishes at x = 0
-            val = divisibility_max("g_dual", ModelParams(x, 0.0, y, 1.0), scan)
+            val = divisibility_max("g_dual", ModelParams(x, 0.0, y, 1.0))
             flagged = flagged and (val == DIVERGES)
     report("9c", f"{len(rows)} sub-threshold rows all flagged DIVERGES: {flagged}")
     assert flagged
@@ -341,10 +339,9 @@ def test_09d_boundary_on_default_grid():
     ys = np.linspace(0.02, 3.0, 121)
     step = xs[1] - xs[0]
     row_xs = np.concatenate((xs, xs[-1] + step * np.arange(1, 21)))
-    scan = ScanConfig(refine=False)
     rows = []
     for y in ys[:2]:
-        vals = np.array([divisibility_max("g", ModelParams(x, 0.0, y, 1.0), scan)
+        vals = np.array([divisibility_max("g", ModelParams(x, 0.0, y, 1.0))
                          for x in row_xs])
         flips = np.flatnonzero(np.diff(np.sign(vals - 1.0)))
         star = float(mpmath.findroot(

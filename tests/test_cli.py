@@ -19,6 +19,12 @@ def read_csv(path):
     return header, rows
 
 
+def _mp_g(mpmath, delta, weight, gamma=1.0):
+    """g(pi/|delta|) = int_0^{pi/|delta|} exp(-gamma s/2) weight(s) sin(delta s) ds."""
+    return mpmath.quad(lambda s: mpmath.exp(-gamma * s / 2) * weight(s)
+                       * mpmath.sin(delta * s), [0, mpmath.pi / abs(delta)])
+
+
 class TestDynamics:
     def test_columns_and_monotone_time(self, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -65,8 +71,7 @@ class TestDivisibilityMap:
     def test_rows_and_flags(self, tmp_path):
         out = tmp_path / "map.csv"
         assert run(["divisibility-map", "--grid", "3,3", "--eps-range", "0,2",
-                    "--T-range", "0.05,0.5", "--scan-points", "800",
-                    "--no-refine", "--out", str(out)]) == 0
+                    "--T-range", "0.05,0.5", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header[:2] == ["eps_minus_mu_over_gamma", "T_over_gamma"]
         assert len(rows) == 9
@@ -77,6 +82,46 @@ class TestDivisibilityMap:
                 assert float(r[2]) == 0.0  # resonance column
             if float(r[1]) < 1 / (2 * math.pi) and float(r[0]) > 0:
                 assert r[3] == "inf"
+
+    def test_dual_unbounded_just_below_threshold(self, tmp_path):
+        # T just under gamma/(2 pi) = 0.15915 gamma: the dual weight still grows
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "edge.csv"
+        assert run(["divisibility-map", "--eps-range", "1,2.5",
+                    "--T-range", "0.1552,0.1582", "--grid", "2,2",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        for x, y, max_g, max_g_dual in rows:
+            delta, temp = float(x), float(y)
+            weight = lambda s: 2 * temp / mpmath.sinh(mpmath.pi * temp * s)
+            exact = abs(_mp_g(mpmath, delta, weight))
+            assert max_g_dual == "inf"
+            assert abs(float(max_g) - float(exact)) < 1e-10
+
+    def test_zero_temperature_row(self, tmp_path):
+        # the 1e-12 clamp of T = 0 gives the weight's limit 2/(pi s)
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "cold.csv"
+        assert run(["divisibility-map", "--T-range", "0,0.01", "--grid", "5,3",
+                    "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+        _, rows = read_csv(out)
+        cold = [r for r in rows if float(r[1]) == 0.0 and float(r[0]) > 0.0]
+        assert len(cold) == 4
+        for x, _, max_g, max_g_dual in cold:
+            exact = _mp_g(mpmath, float(x), lambda s: 2 / (mpmath.pi * s))
+            assert abs(float(max_g) - float(exact)) < 1e-12
+            assert max_g_dual == "inf"
+
+    @pytest.mark.parametrize("flag", ["--gamma=-1", "--gamma=0", "--T-range=-1,1",
+                                      "--T-range=0.5,-0.1"])
+    def test_domain_errors_exit_two(self, flag, capsys):
+        # the axes are in units of gamma, and a negative temperature has no meaning
+        assert run(["divisibility-map", "--grid", "2,2", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestFrequencyMap:

@@ -29,7 +29,6 @@ from rlmdual.model import (
     NUMBER_OP,
     PARITY_OP,
     RlmProvider,
-    ScanConfig,
     divisibility_max,
     pole_catalog,
 )
@@ -441,17 +440,41 @@ class TestDivisibility:
         assert divisibility_max("g", th) == pytest.approx(oracle, abs=1e-5)
 
     def test_non_divisible_region_exists(self):
-        # far off resonance at low temperature the scan must exceed one
+        # far off resonance at low temperature the maximum must exceed one
         assert divisibility_max("g", ModelParams(5.0, 0.0, 0.05, 1.0)) > 1.0
 
     def test_dual_divergence_below_threshold(self):
         th = ModelParams(0.5, 0.0, 0.1, 1.0)  # T < gamma / (2 pi)
-        assert divisibility_max("g_dual", th, ScanConfig(refine=False)) == DIVERGES
+        assert divisibility_max("g_dual", th) == DIVERGES
+        # the dual point itself has gamma < -2 pi T, and its g does grow
+        assert divisibility_max("g", th.dual()) == DIVERGES
+        ts = np.linspace(0.0, 100.0, 2001)
+        assert np.abs(model.g_of_t(ts, th.dual())).max() > 1e6
 
     def test_dual_bounded_above_threshold(self):
         th = ModelParams(0.5, 0.0, 0.3, 1.0)
-        val = divisibility_max("g_dual", th, ScanConfig(refine=False))
+        val = divisibility_max("g_dual", th)
         assert math.isfinite(val)
+
+    def test_bounds_g_at_random_times(self):
+        # both signs of gamma down to the edge gamma = -2 pi T, times on both
+        # sides of 2 pi T t = 1/2 and many lobes of sin(delta t) past the first
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            temp = 10.0 ** rng.uniform(-2.0, 0.5)
+            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)
+            edge = -2.0 * math.pi * temp
+            gamma = edge if rng.random() < 0.2 else rng.uniform(edge, 3.0)
+            th = ModelParams(delta, 0.0, temp, gamma)
+            bound = divisibility_max("g", th)
+            assert math.isfinite(bound)
+            ts = (math.pi / abs(delta)) * np.concatenate(
+                (rng.uniform(0.0, 12.0, 40), 10.0 ** rng.uniform(-3.0, 0.0, 10)))
+            assert np.abs(model.g_of_t(ts, th)).max() <= bound + 1e-12
+            # the dual of a point with gamma >= -2 pi T is bounded by the same rule
+            dual = ModelParams(-delta, 0.0, temp, -gamma)
+            assert divisibility_max("g_dual", dual) == bound
+
 
 
 class TestPoleCatalog:
