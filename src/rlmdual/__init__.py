@@ -46,8 +46,6 @@ from .model import (
     divisibility_max,
 )
 from .verify import (
-    QuadratureConfig,
-    DEFAULT_QUAD,
     SuperOpFamily,
     ResidualReport,
     rlm_family,

@@ -37,7 +37,6 @@ __all__ = [
     "superop_from_choi",
     "bipartite_ket_one",
     "bipartite_to_operator",
-    "bipartite_swap_conj",
     "choi_duality_transform",
     "is_tp",
     "is_hermiticity_preserving",
@@ -183,17 +182,13 @@ def bipartite_to_operator(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape(dim, dim).copy()
 
 
-def bipartite_swap_conj(c: np.ndarray) -> np.ndarray:
-    """S C* S with S the bipartite swap (conjugation is entrywise)."""
+def choi_duality_transform(c: np.ndarray) -> np.ndarray:
+    """Swap-and-conjugate transform mapping choi[S] to choi[S superadjoint]:
+    S C* S with S the bipartite swap (conjugation is entrywise)."""
     c = np.asarray(c)
     d2 = c.shape[0]
     d = int(round(np.sqrt(d2)))
     return c.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2).conj().copy()
-
-
-def choi_duality_transform(c: np.ndarray) -> np.ndarray:
-    """Swap-and-conjugate transform mapping choi[S] to choi[S superadjoint]."""
-    return bipartite_swap_conj(c)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
+from scipy.optimize import brentq
 
 from .liouville import (
     identity_superop,
@@ -170,21 +171,19 @@ def slip_propagator_hat(e: complex, params: ModelParams,
 
 
 def cp_onset_time(params: ModelParams, t_max: float | None = None,
-                  cp_tol: float = 1e-9,
-                  scan_points: int = 400, bisect_tol: float | None = None):
+                  cp_tol: float = 1e-9, scan_points: int = 400):
     """Time after which the slip-corrected propagator stays completely positive.
 
     Scans the smallest Choi eigenvalue of exp(-i G_inf t) S over [0, t_max]
-    (dense linear-log grid), bisects the last sign change, then demands CP on
-    64 log-spaced later samples.  Returns ALWAYS when CP from t = 0 on all
-    samples, NEVER when still non-CP at t_max.
+    (dense linear-log grid), takes the brentq root of min_eig + cp_tol in the
+    last sign change, then demands CP on 64 log-spaced later samples.
+    Returns ALWAYS when CP from t = 0 on all samples, NEVER when still non-CP
+    at t_max.
     """
     gam = abs(params.gamma)
     temp = params.temperature
     if t_max is None:
         t_max = 1e3 / min(gam, temp)
-    if bisect_tol is None:
-        bisect_tol = 1e-3 / temp
     g_inf = g_stationary(params)
     slip = slip_operator(params).matrix
 
@@ -201,18 +200,11 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
     if bad[-1]:
         return NEVER
     last_bad = int(np.where(bad)[0][-1])
-    lo, hi = ts[last_bad], ts[last_bad + 1]
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) < -cp_tol:
-            lo = mid
-        else:
-            hi = mid
-    onset = 0.5 * (lo + hi)
-    for t in np.geomspace(max(onset, bisect_tol), t_max, 64):
-        if t > onset and min_eig(t) < -cp_tol:
+    onset = brentq(lambda t: min_eig(t) + cp_tol, ts[last_bad], ts[last_bad + 1])
+    for t in np.geomspace(onset, t_max, 64)[1:]:
+        if min_eig(t) < -cp_tol:
             # CP did not persist; the scan missed a later violation
-            return cp_onset_time(params, t_max, cp_tol, 2 * scan_points, bisect_tol)
+            return cp_onset_time(params, t_max, cp_tol, 2 * scan_points)
     return float(onset)
 
 

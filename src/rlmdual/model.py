@@ -162,8 +162,7 @@ class RlmProvider:
         return self._memoized("g_dual", t, lambda: g_dual_of_t(t, self.params))
 
     def p(self, t):
-        return self._memoized(
-            "p", t, lambda: p_from_g(t, self.g(t), self.g_dual(t), self.params))
+        return self._memoized("p", t, lambda: p_from_g(t, self.g(t), self.g_dual, self.params))
 
     def g_infinity(self) -> float:
         return g_stationary(self.params)
@@ -308,11 +307,16 @@ class RlmProvider:
         return float(occ) if occ.ndim == 0 else occ
 
     def current(self, t, rho0: np.ndarray):
-        """d<N>/dt from the closed form Gamma e^{-Gamma t} [g_dual(t) + <parity>]/2."""
+        """d<N>/dt from the closed form Gamma e^{-Gamma t} [g_dual(t) + <parity>]/2.
+
+        e^{-Gamma t} g_dual(t) is taken as (1 - e^{-Gamma t}) p(t) - g(t), which
+        stays finite where g_dual(t) alone overflows.
+        """
         rho0 = self._check_state(rho0)
         gamma = self.params.gamma
         par0 = float(np.trace(PARITY_OP @ rho0).real)
-        out = 0.5 * gamma * np.exp(-gamma * np.asarray(t, float)) * (self.g_dual(t) + par0)
+        gt = gamma * np.asarray(t, float)
+        out = 0.5 * gamma * (-np.expm1(-gt) * self.p(t) - self.g(t) + np.exp(-gt) * par0)
         return float(out) if out.ndim == 0 else out
 
     def stationary_state(self) -> np.ndarray:

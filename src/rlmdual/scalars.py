@@ -287,19 +287,20 @@ def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def p_from_g(t, g, g_dual, params: ModelParams):
-    """p at times t (a float or a 1-D array) from g and g_dual at the same times.
+    """p at times t (a float or a 1-D array) from g at the same times.
 
     Uses ``(1 - exp(-gamma t)) p(t) = g(t) + exp(-gamma t) g_dual(t)`` where
     g has its closed form (2 pi T t >= 1/2) and |gamma t| >= 1e-6.  Below
     either bound the identity cancels digits, and :func:`_p_direct` is used.
+    ``g_dual`` maps a 1-D array of times to g_dual there; it is called only
+    with the times the identity serves (elsewhere g_dual may overflow).
     """
     ts, scalar = _times(t)
     gt = params.gamma * ts
     g = np.broadcast_to(g, ts.shape)
-    g_dual = np.broadcast_to(g_dual, ts.shape)
 
     def identity(m):
-        return (g[m] + np.exp(-gt[m]) * g_dual[m]) / -np.expm1(-gt[m])
+        return (g[m] + np.exp(-gt[m]) * g_dual(ts[m])) / -np.expm1(-gt[m])
 
     return _piecewise(
         ts, scalar, (np.abs(gt) >= 1e-6) & (_TWO_PI * params.temperature * ts >= 0.5),
@@ -308,7 +309,7 @@ def p_from_g(t, g, g_dual, params: ModelParams):
 
 def p_of_t(t, params: ModelParams):
     """Doubly averaged kernel function entering the propagator (see :func:`p_from_g`)."""
-    return p_from_g(t, g_of_t(t, params), g_dual_of_t(t, params), params)
+    return p_from_g(t, g_of_t(t, params), lambda ts: g_dual_of_t(ts, params), params)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import math
 import cmath
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .model import PARITY_OP, RlmProvider
 from .scalars import ModelParams, QuadratureError, gauss_panels, oscillation_panel_width
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUAD",
     "SuperOpFamily",
     "ResidualReport",
     "MissingCallbackError",
@@ -61,20 +59,6 @@ __all__ = [
     "family_from_json",
     "run_tabulated_suite",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy target of the quadrature path in :func:`check_fixed_point_stationary`."""
-
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureConfig()
 
 
 class MissingCallbackError(ValueError):
@@ -103,7 +87,6 @@ class SuperOpFamily:
     kernel_smooth: Callable | None = None
     generator_stationary: Callable | None = None
     generator_gflip: Callable | None = None
-    quad: QuadratureConfig = DEFAULT_QUAD
 
     def require(self, *names: str):
         for name in names:
@@ -124,24 +107,13 @@ class ResidualReport:
     def as_dict(self) -> dict:
         return {
             "relation_id": self.relation_id,
-            "params": None if self.params is None else {
-                "epsilon": self.params.epsilon,
-                "mu": self.params.mu,
-                "temperature": self.params.temperature,
-                "gamma": self.params.gamma,
-            },
-            "sample_points": [_point_json(p) for p in self.sample_points],
+            "params": None if self.params is None else _theta_to_json(self.params),
+            "sample_points": _jsonable(self.sample_points),
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "witness": _jsonable(self.witness),
         }
-
-
-def _point_json(p):
-    if isinstance(p, complex):
-        return [p.real, p.imag]
-    return p
 
 
 def _jsonable(obj):
@@ -168,11 +140,18 @@ def _maxabs(m) -> float:
     return float(np.abs(m).max())
 
 
+def _frame(family: SuperOpFamily, params: ModelParams):
+    """What every relation is written in: the dual point, the coupling sum,
+    the parity superoperator and the identity superoperator."""
+    return (family.dual_map(params), family.gamma_sum(params),
+            parity_superop(family.parity_op), identity_superop(family.dim))
+
+
 # ---------------------------------------------------------------------------
 # the shipped resonant-level family
 # ---------------------------------------------------------------------------
 
-def rlm_family(quad: QuadratureConfig = DEFAULT_QUAD) -> SuperOpFamily:
+def rlm_family() -> SuperOpFamily:
     """Closed-form resonant-level family with a per-parameter provider cache."""
     cache: dict[ModelParams, RlmProvider] = {}
 
@@ -194,7 +173,6 @@ def rlm_family(quad: QuadratureConfig = DEFAULT_QUAD) -> SuperOpFamily:
         kernel_smooth=lambda t, p: provider(p).kernel_smooth(t),
         generator_stationary=lambda p: provider(p).generator_stationary(),
         generator_gflip=lambda t, p: provider(p).generator_gflip(t),
-        quad=quad,
     )
 
 
@@ -230,9 +208,7 @@ def check_propagator_duality(family: SuperOpFamily, params: ModelParams,
     ``freqs`` (upper half plane) when the family provides ``propagator_hat``.
     """
     family.require("propagator")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
+    dual, gam, pmat, _ = _frame(family, params)
     time_res = []
     for t in times:
         lhs = superadjoint(family.propagator(t, params))
@@ -284,9 +260,7 @@ def check_spectral_cross_relations(family: SuperOpFamily, params: ModelParams,
     pairing with k_j(E) = conj(iG - k_dual_i(iG - E*)).  Self-dual modes are
     additionally checked against the parity-overlap normalization equations.
     """
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
+    dual, gam, pmat, _ = _frame(family, params)
     if which == "propagator":
         family.require("propagator")
         t = float(point)
@@ -346,10 +320,7 @@ def check_kernel_duality_frequency(family: SuperOpFamily, params: ModelParams,
     K_s(t)^sadj = -exp(-G t) P K_s_dual(t) P.
     """
     family.require("kernel_hat")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
-    ident = identity_superop(family.dim)
+    dual, gam, pmat, ident = _frame(family, params)
     freq_res = []
     for w in freqs:
         lhs = superadjoint(family.kernel_hat(w, params))
@@ -378,10 +349,7 @@ def check_generator_duality(family: SuperOpFamily, params: ModelParams,
                             cond_limit: float = 1e12) -> ResidualReport:
     """[Pi^-1 G Pi]^sadj against iG*1 - P G_dual P at each sampled time."""
     family.require("propagator", "generator")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
-    ident = identity_superop(family.dim)
+    dual, gam, pmat, ident = _frame(family, params)
     res = []
     for t in times:
         pi = family.propagator(t, params)
@@ -400,9 +368,7 @@ def check_generator_gflip(family: SuperOpFamily, params: ModelParams,
                           times, tol: float = 1e-8) -> ResidualReport:
     """Model-specific relation G^sadj = iG*1 + P G|_{g -> -g} P."""
     family.require("generator", "generator_gflip")
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
-    ident = identity_superop(family.dim)
+    _, gam, pmat, ident = _frame(family, params)
     res = []
     for t in times:
         lhs = superadjoint(family.generator(t, params))
@@ -429,9 +395,17 @@ def _projector(ops) -> np.ndarray:
     return sum(np.outer(op.reshape(-1), op.reshape(-1).conj()) for op in ops)
 
 
-def _match_in_sectors(targets, values):
-    """Greedy bipartite matching of (value, parity) pairs on value distance
-    within equal parity; returns [(i, j, distance)] and the matched index sets."""
+def _pair_in_sectors(targets, values, target_ops, value_ops):
+    """Pair the terms of two parity-sector decompositions.
+
+    ``targets`` and ``values`` are (scalar, parity) lists; the operator lists
+    hold the matching operators, mapped so that partners agree up to a phase.
+    Terms are matched greedily on scalar distance within equal parity.
+    Returns the scalar residuals (matched distances, then the magnitudes left
+    unmatched on either side), the phase-fixed operator residuals of pairs
+    with a nondegenerate value, the projector residuals of each degenerate
+    value group against its partners, and the matches as (i, j, distance).
+    """
     cand = sorted((abs(v - tv), i, j) for i, (tv, tp) in enumerate(targets)
                   for j, (v, vp) in enumerate(values) if vp == tp)
     mi, mj, matches = set(), set(), []
@@ -440,7 +414,23 @@ def _match_in_sectors(targets, values):
             mi.add(i)
             mj.add(j)
             matches.append((i, j, dist))
-    return matches, mi, mj
+    scalar_res = [d for _, _, d in matches]
+    scalar_res += [abs(tv) for i, (tv, _) in enumerate(targets) if i not in mi]
+    scalar_res += [abs(v) for j, (v, _) in enumerate(values) if j not in mj]
+
+    vals = np.array([v for v, _ in values])
+    group_tol = 1e-8 * float(np.abs(vals).max(initial=1.0))
+    groups = [np.flatnonzero(np.abs(vals - v) < group_tol) for v in vals]
+    op_res = [_optimal_phase_residual(value_ops[j], target_ops[i])
+              for i, j, _ in matches if len(groups[j]) == 1]
+    deg_res = []
+    for j, group in enumerate(groups):
+        if len(group) < 2 or j != group[0]:
+            continue
+        partners = [i for i, jj, _ in matches if jj in group]
+        deg_res.append(_maxabs(_projector(value_ops[jj] for jj in group)
+                               - _projector(target_ops[i] for i in partners)))
+    return scalar_res, op_res, deg_res, matches
 
 
 def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
@@ -449,43 +439,19 @@ def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
 
     Coefficients must map as m_a = exp(-G t) (-1)^{N_a'} m_dual_a' within
     equal parity sectors; matched operators obey M_a^dag = M_dual_a' up to a
-    phase.  Degenerate coefficient groups are compared through their Choi
-    eigenprojectors (swap-conjugate transform) instead of single operators.
+    phase.  Degenerate coefficient groups are compared through the
+    projectors onto their spans instead of single operators.
     """
     family.require("propagator")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
+    dual, gam, _, _ = _frame(family, params)
     kr = canonical_kraus(family.propagator(t, params), family.parity_op)
     kd = canonical_kraus(family.propagator(t, dual), family.parity_op)
-
-    targets = [(math.exp(-gam * t) * term.parity * term.coefficient, term.parity)
-               for term in kd.terms]
-    matches, mi, mj = _match_in_sectors(
-        targets, [(term.coefficient, term.parity) for term in kr.terms])
-    scale = max(1.0, float(np.abs(kr.coefficients).max()))
-    leftover = [abs(targets[i][0]) for i in range(len(kd.terms)) if i not in mi]
-    leftover += [abs(kr.terms[j].coefficient) for j in range(len(kr.terms)) if j not in mj]
-    coeff_res = [d for _, _, d in matches] + leftover
-
-    group_tol = 1e-8 * scale
-    coeffs = kr.coefficients
-    op_res = []
-    deg_res = []
-    for i, j, _ in matches:
-        degenerate = np.sum(np.abs(coeffs - coeffs[j]) < group_tol) > 1
-        if degenerate:
-            continue
-        op_res.append(_optimal_phase_residual(
-            kr.terms[j].operator.conj().T, kd.terms[i].operator))
-    # degenerate groups: compare bipartite eigenprojectors
-    for j, term in enumerate(kr.terms):
-        group = [jj for jj in range(len(coeffs)) if abs(coeffs[jj] - coeffs[j]) < group_tol]
-        if len(group) < 2 or j != group[0]:
-            continue
-        partners = [i for (i, jj, _) in matches if jj in group]
-        proj = _projector(kr.terms[jj].operator for jj in group)
-        proj_d = _projector(kd.terms[i].operator for i in partners)
-        deg_res.append(_maxabs(lv.bipartite_swap_conj(proj) - proj_d))
+    coeff_res, op_res, deg_res, matches = _pair_in_sectors(
+        [(math.exp(-gam * t) * term.parity * term.coefficient, term.parity)
+         for term in kd.terms],
+        [(term.coefficient, term.parity) for term in kr.terms],
+        [term.operator for term in kd.terms],
+        [term.operator.conj().T for term in kr.terms])
     resid = max(coeff_res + op_res + deg_res)
     witness = {"coefficients": coeff_res, "operators": op_res,
                "degenerate_projectors": deg_res,
@@ -531,10 +497,7 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     the odd-rate scalar rule are validated on the Schroedinger set.
     """
     family.require("generator")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
-    ident = identity_superop(family.dim)
+    dual, gam, pmat, ident = _frame(family, params)
     dim = family.dim
 
     heis_gen = 1j * gam * ident - pmat @ family.generator(t, dual) @ pmat
@@ -549,29 +512,11 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     sch = gksl_decompose(family.generator(t, params), family.parity_op)
 
     ham_res = _maxabs(heis.effective_hamiltonian + sch_dual.effective_hamiltonian)
-
-    targets = [(term.parity * term.rate, term.parity) for term in sch_dual.terms]
-    matches, mi, mj = _match_in_sectors(
-        targets, [(term.rate, term.parity) for term in heis.terms])
-    rate_res = [d for _, _, d in matches]
-    rate_res += [abs(sch_dual.terms[i].rate) for i in range(len(targets)) if i not in mi]
-    rate_res += [abs(heis.terms[j].rate) for j in range(len(heis.terms)) if j not in mj]
-
-    rates = heis.rates
-    group_tol = 1e-8 * max(1.0, float(np.abs(rates).max()) if len(rates) else 1.0)
-    op_res = []
-    deg_res = []
-    for i, j, _ in matches:
-        group = [jj for jj in range(len(rates)) if abs(rates[jj] - rates[j]) < group_tol]
-        if len(group) > 1:
-            partners = [ii for (ii, jj, _) in matches if jj in group]
-            lhs = _projector(heis.terms[jj].operator for jj in group)
-            rhs = _projector(sch_dual.terms[ii].operator for ii in partners)
-            if j == group[0]:
-                deg_res.append(_maxabs(lhs - rhs))
-            continue
-        op_res.append(_optimal_phase_residual(
-            heis.terms[j].operator, sch_dual.terms[i].operator))
+    rate_res, op_res, deg_res, _ = _pair_in_sectors(
+        [(term.parity * term.rate, term.parity) for term in sch_dual.terms],
+        [(term.rate, term.parity) for term in heis.terms],
+        [term.operator for term in sch_dual.terms],
+        [term.operator for term in heis.terms])
 
     acc = np.zeros((dim, dim), dtype=complex)
     odd_sum = 0.0
@@ -594,8 +539,7 @@ def check_choi_duality(family: SuperOpFamily, params: ModelParams, t: float,
                        tol: float = 1e-8) -> ResidualReport:
     """Swap-conjugate Choi transform against the parity-dressed dual Choi."""
     family.require("propagator")
-    dual = family.dual_map(params)
-    gam = family.gamma_sum(params)
+    dual, gam, _, _ = _frame(family, params)
     pbip = np.kron(family.parity_op, family.parity_op)
     c = choi_of(family.propagator(t, params))
     cd = choi_of(family.propagator(t, dual))
@@ -613,6 +557,11 @@ def check_choi_duality(family: SuperOpFamily, params: ModelParams, t: float,
 # ---------------------------------------------------------------------------
 # fixed-point relations between generator and kernel
 # ---------------------------------------------------------------------------
+
+# absolute accuracy target of the quadrature path of check_fixed_point_stationary
+_KERNEL_ABS_TOL = 1e-10
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
 
 def check_fixed_point_stationary(family: SuperOpFamily, params: ModelParams,
                                  tol: float = 1e-6) -> ResidualReport:
@@ -636,9 +585,10 @@ def check_fixed_point_stationary(family: SuperOpFamily, params: ModelParams,
     # panels must resolve the kernel oscillation and the e^{i g_i t} phases
     # (frequencies up to |eps| + |detuning|) and the gamma-scale envelopes
     freq = abs(params.epsilon) + abs(params.detuning) + 1e-30
+    gam = family.gamma_sum(params)
     width = min(oscillation_panel_width(params), math.pi / freq,
-                0.25 / max(abs(family.gamma_sum(params)), 1e-30))
-    base_rate = math.pi * params.temperature + 0.5 * family.gamma_sum(params)
+                0.25 / max(abs(gam), 1e-30))
+    base_rate = math.pi * params.temperature + 0.5 * gam
     quad_part = family.kernel_delta(params).astype(complex)
     for mode in dec.modes:
         w = mode.value
@@ -648,8 +598,14 @@ def check_fixed_point_stationary(family: SuperOpFamily, params: ModelParams,
             raise QuadratureError(
                 f"kernel integral does not converge for mode {w} "
                 f"(net decay rate {rate:.3e})")
-        t_mode = math.log(max(40.0 * params.temperature / family.quad.abs_tol,
-                              10.0)) / rate
+        t_mode = math.log(max(40.0 * params.temperature / _KERNEL_ABS_TOL, 10.0)) / rate
+        # the integrand multiplies e^{-G t/2}, a thermal factor ~e^{-pi T t}
+        # and e^{i w t} (|Im w| < pi T + |G|/2 since rate > 0); past double
+        # range one of them is inf or 0 and the product is meaningless
+        if (math.pi * params.temperature + 0.5 * abs(gam)) * t_mode > _LOG_DOUBLE_MAX:
+            raise QuadratureError(
+                f"kernel integral for mode {w} leaves double range before "
+                f"t = {t_mode:.3e} (net decay rate {rate:.3e})")
         scalar = gauss_panels(
             lambda t: family.kernel_smooth(t, params) * cmath.exp(1j * w * t),
             0.0, t_mode, width)
@@ -664,10 +620,7 @@ def check_fixed_point_stationary(family: SuperOpFamily, params: ModelParams,
 def _functional_residual(family, params, t, n, heisenberg):
     """Residual of the (anti-)time-ordered functional fixed point at step count n."""
     from scipy.linalg import expm
-    gam = family.gamma_sum(params)
-    pmat = parity_superop(family.parity_op)
-    ident = identity_superop(family.dim)
-    dual = family.dual_map(params)
+    dual, gam, pmat, ident = _frame(family, params)
 
     if heisenberg:
         gen = lambda r: 1j * gam * ident - pmat @ family.generator(r, dual) @ pmat
@@ -738,20 +691,76 @@ DEFAULT_TIMES = (0.1, 0.5, 1.0, 3.0)
 
 DEFAULT_FREQS = (0.4j, 1.0 + 0.7j, -0.6 + 1.5j, 2.0j)
 
-DEFAULT_TOLERANCES = {
-    "propagator_duality": 1e-8,
-    "spectral_cross_propagator": 1e-8,
-    "spectral_cross_kernel_hat": 1e-8,
-    "kernel_duality": 1e-8,
-    "generator_duality": 1e-7,
-    "generator_duality_gflip": 1e-8,
-    "kraus_duality": 1e-7,
-    "kraus_sum_rules": 1e-8,
-    "jump_duality": 1e-7,
-    "choi_duality": 1e-8,
-    "fixed_point_stationary": 1e-6,
-    "functional_fixed_point": 1e-3,
-}
+class _Samples(NamedTuple):
+    """Where the relations are sampled at one parameter point."""
+
+    times: tuple
+    freqs: tuple           # frequencies w whose reflections iG - w* are sampled too
+    kernel_points: tuple   # where the kernel spectra are compared: iG, if sampled
+    steps: int = 0         # step count of the functional fixed point; 0: not sampled
+
+    @property
+    def t_mid(self) -> float:
+        return self.times[len(self.times) // 2]
+
+
+# One row per relation: its id, its default tolerance, the callbacks it
+# requires, the sample list it needs (the row is skipped where that list is
+# empty) and the call.  The calls name the checks as module attributes, so a
+# tracer that rebinds them sees them.
+_RELATIONS = (
+    ("propagator_duality", 1e-8, ("propagator",), "times",
+     lambda f, p, s, tol: check_propagator_duality(f, p, s.times, tol, freqs=s.freqs)),
+    ("spectral_cross_propagator", 1e-8, ("propagator",), "times",
+     lambda f, p, s, tol: check_spectral_cross_relations(f, p, s.t_mid, tol, "propagator")),
+    ("spectral_cross_kernel_hat", 1e-8, ("kernel_hat",), "kernel_points",
+     lambda f, p, s, tol: check_spectral_cross_relations(
+         f, p, s.kernel_points[0], tol, "kernel_hat")),
+    ("kernel_duality", 1e-8, ("kernel_hat",), "freqs",
+     lambda f, p, s, tol: check_kernel_duality_frequency(f, p, s.freqs, tol, times=s.times)),
+    ("generator_duality", 1e-7, ("propagator", "generator"), "times",
+     lambda f, p, s, tol: check_generator_duality(f, p, s.times, tol)),
+    ("generator_duality_gflip", 1e-8, ("generator", "generator_gflip"), "times",
+     lambda f, p, s, tol: check_generator_gflip(f, p, s.times, tol)),
+    ("kraus_duality", 1e-7, ("propagator",), "times",
+     lambda f, p, s, tol: check_kraus_duality(f, p, s.t_mid, tol)),
+    ("kraus_sum_rules", 1e-8, ("propagator",), "times",
+     lambda f, p, s, tol: check_kraus_sum_rules(
+         canonical_kraus(f.propagator(s.t_mid, p), f.parity_op), f.gamma_sum(p),
+         s.t_mid, f.dim, tol, p)),
+    ("jump_duality", 1e-7, ("generator",), "times",
+     lambda f, p, s, tol: check_jump_duality(f, p, s.t_mid, tol)),
+    ("choi_duality", 1e-8, ("propagator",), "times",
+     lambda f, p, s, tol: check_choi_duality(f, p, s.t_mid, tol)),
+    ("fixed_point_stationary", 1e-6,
+     ("generator_stationary", "kernel_hat", "kernel_delta", "kernel_smooth"), None,
+     lambda f, p, s, tol: check_fixed_point_stationary(f, p, tol)),
+    ("functional_fixed_point", 1e-3, ("generator", "kernel_delta", "kernel_smooth"), "steps",
+     lambda f, p, s, tol: check_functional_fixed_point(
+         f, p, 2.0 / abs(f.gamma_sum(p)), s.steps, tol)),
+)
+
+
+DEFAULT_TOLERANCES = {row[0]: row[1] for row in _RELATIONS}
+
+
+def _run_relations(family: SuperOpFamily, points,
+                   tolerances: dict | None) -> list[ResidualReport]:
+    """Reports of each relation the family and each (params, samples) point support, sorted."""
+    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    reports: list[ResidualReport] = []
+    for params, samples in points:
+        if family.gamma_sum(params) == 0.0:
+            raise ValueError(f"coupling sum is zero at {params}: the relations "
+                             "sample times and frequencies in units of gamma")
+        for relation_id, _, requires, needs, call in _RELATIONS:
+            if (all(getattr(family, name) is not None for name in requires)
+                    and (needs is None or getattr(samples, needs))):
+                reports.append(call(family, params, samples, tols[relation_id]))
+    reports.sort(key=lambda r: (r.relation_id,
+                                (r.params.epsilon, r.params.mu,
+                                 r.params.temperature, r.params.gamma)))
+    return reports
 
 
 def run_suite(family: SuperOpFamily,
@@ -761,47 +770,10 @@ def run_suite(family: SuperOpFamily,
               tolerances: dict | None = None,
               fixed_point_steps: int = 200) -> list[ResidualReport]:
     """Run every relation over the parameter grid; deterministic report order."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
-    reports: list[ResidualReport] = []
-    for params in params_list:
-        if family.gamma_sum(params) == 0.0:
-            raise ValueError(f"coupling sum is zero at {params}: the relations "
-                             "sample times and frequencies in units of gamma")
-        reports.append(check_propagator_duality(
-            family, params, times, tols["propagator_duality"], freqs=freqs))
-        reports.append(check_spectral_cross_relations(
-            family, params, times[len(times) // 2], tols["spectral_cross_propagator"],
-            which="propagator"))
-        reports.append(check_spectral_cross_relations(
-            family, params, 1j * family.gamma_sum(params),
-            tols["spectral_cross_kernel_hat"], which="kernel_hat"))
-        reports.append(check_kernel_duality_frequency(
-            family, params, freqs, tols["kernel_duality"], times=times))
-        reports.append(check_generator_duality(
-            family, params, times, tols["generator_duality"]))
-        if family.generator_gflip is not None:
-            reports.append(check_generator_gflip(
-                family, params, times, tols["generator_duality_gflip"]))
-        t_mid = times[len(times) // 2]
-        reports.append(check_kraus_duality(family, params, t_mid, tols["kraus_duality"]))
-        kr = canonical_kraus(family.propagator(t_mid, params), family.parity_op)
-        reports.append(check_kraus_sum_rules(
-            kr, family.gamma_sum(params), t_mid, family.dim,
-            tols["kraus_sum_rules"], params))
-        reports.append(check_jump_duality(family, params, t_mid, tols["jump_duality"]))
-        reports.append(check_choi_duality(family, params, t_mid, tols["choi_duality"]))
-        if family.generator_stationary is not None and family.kernel_smooth is not None:
-            reports.append(check_fixed_point_stationary(
-                family, params, tols["fixed_point_stationary"]))
-            reports.append(check_functional_fixed_point(
-                family, params, 2.0 / family.gamma_sum(params), fixed_point_steps,
-                tols["functional_fixed_point"]))
-    reports.sort(key=lambda r: (r.relation_id,
-                                (r.params.epsilon, r.params.mu,
-                                 r.params.temperature, r.params.gamma)))
-    return reports
+    return _run_relations(family, [
+        (params, _Samples(times, freqs, (1j * family.gamma_sum(params),),
+                          fixed_point_steps))
+        for params in params_list], tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -916,38 +888,20 @@ def family_from_json(doc) -> TabulatedFamily:
 
 def run_tabulated_suite(tab: TabulatedFamily,
                         tolerances: dict | None = None) -> list[ResidualReport]:
-    """Run every relation the tabulated samples can support."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
+    """Run every relation the tabulated samples can support.
+
+    A frequency relation at w needs the table to hold the reflected sample
+    at iG - w* on the dual point; the other frequencies are left out.
+    """
     fam = tab.family
-    reports = []
+    points = []
     for params in tab.params_list:
-        if fam.propagator is not None:
-            reports.append(check_propagator_duality(
-                fam, params, tab.times, tols["propagator_duality"]))
-            t_mid = tab.times[len(tab.times) // 2]
-            reports.append(check_spectral_cross_relations(
-                fam, params, t_mid, tols["spectral_cross_propagator"], "propagator"))
-            reports.append(check_kraus_duality(fam, params, t_mid, tols["kraus_duality"]))
-            kr = canonical_kraus(fam.propagator(t_mid, params), fam.parity_op)
-            reports.append(check_kraus_sum_rules(
-                kr, fam.gamma_sum(params), t_mid, fam.dim, tols["kraus_sum_rules"], params))
-            reports.append(check_choi_duality(fam, params, t_mid, tols["choi_duality"]))
-        if fam.generator is not None and fam.propagator is not None:
-            reports.append(check_generator_duality(
-                fam, params, tab.times, tols["generator_duality"]))
-            reports.append(check_jump_duality(
-                fam, params, tab.times[len(tab.times) // 2], tols["jump_duality"]))
-        if fam.kernel_hat is not None:
-            gam = fam.gamma_sum(params)
-            ws = [w for w in tab.freqs
-                  if ("kernel_hat", _arg_key(1j * gam - w.conjugate()), params.dual())
-                  in tab.sample_index]
-            if ws:
-                reports.append(check_kernel_duality_frequency(
-                    fam, params, ws, tols["kernel_duality"]))
-    reports.sort(key=lambda r: (r.relation_id,
-                                (r.params.epsilon, r.params.mu,
-                                 r.params.temperature, r.params.gamma)))
-    return reports
+        gam = fam.gamma_sum(params)
+        dual = fam.dual_map(params)
+
+        def held(ws):
+            return tuple(w for w in ws if (
+                "kernel_hat", _arg_key(1j * gam - w.conjugate()), dual) in tab.sample_index)
+
+        points.append((params, _Samples(tab.times, held(tab.freqs), held([1j * gam]))))
+    return _run_relations(fam, points, tolerances)

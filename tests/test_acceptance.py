@@ -441,7 +441,7 @@ def test_11d_cp_onset_far_detuned():
     for delta in (5.0, 10.0, 20.0, 40.0):
         th = ModelParams(delta, 0.0, temp, gam)
         c = _mp_slip_coeff(mpmath, th)
-        onset = cp_onset_time(th, cp_tol=CP_TOL, bisect_tol=tol)
+        onset = cp_onset_time(th, cp_tol=CP_TOL)
         root = _brentq_onset(th, 2.0 * abs(c) / gam)
         rows.append((delta, c, _choi_min(slip_operator(th).matrix), onset, root))
     report("11d", "; ".join(
@@ -451,6 +451,7 @@ def test_11d_cp_onset_far_detuned():
         assert abs(s_min - c) < 1e-12
         assert isinstance(onset, float)
         assert abs(onset - root) <= tol
+        assert abs(onset - root) <= 1e-8 * root   # a root, not a bracket midpoint
         assert abs(onset - abs(c) / gam) <= tol
     onsets = [row[3] for row in rows]
     assert all(a > b for a, b in zip(onsets, onsets[1:]))
@@ -469,7 +470,7 @@ def test_11e_cp_onset_near_breakdown():
 
     def onset_at(factor):
         th = ModelParams(0.01 * temp, 0.0, temp, 2.0 * math.pi * temp * factor)
-        return th, cp_onset_time(th, t_max=1e3 / temp, cp_tol=CP_TOL, bisect_tol=tol)
+        return th, cp_onset_time(th, t_max=1e3 / temp, cp_tol=CP_TOL)
 
     ladders = {side: [onset_at(1.0 + side * 10.0 ** -k) for k in (1, 2, 3)]
                for side in (-1, 1)}

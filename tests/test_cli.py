@@ -59,6 +59,25 @@ class TestDynamics:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_current_finite_where_g_dual_overflows(self, capsys):
+        # at T << gamma the dual g_dual(t) grows like e^{gamma t/2} and
+        # overflows near t = 1420; the current must not depend on it alone
+        assert run(["dynamics", "--T", "1e-6", "--eps", "5", "--times", "0,1e4",
+                    "--stdout"]) == 0
+        assert "nan" not in capsys.readouterr().out
+
+    def test_current_matches_product_form(self, tmp_path):
+        from rlmdual.model import RlmProvider
+        from rlmdual.scalars import ModelParams
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        pr = RlmProvider(ModelParams(0.5, 0.0, 0.25, 1.0))
+        for r in rows:
+            t = float(r[0])
+            # gamma e^{-gamma t} (g_dual(t) + <parity>)/2 with <parity> = 1
+            assert abs(float(r[5]) - 0.5 * math.exp(-t) * (pr.g_dual(t) + 1.0)) < 1e-12
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "dyn.json"
         run(["dynamics", "--times", "0,1", "--points", "3", "--format", "json",
@@ -199,6 +218,18 @@ class TestDualityCheck:
         assert run(["duality-check", "--params", "0.5,0,0.25,1",
                     "--seed", "7", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--params=-0.5,0,0.25,-1"], 0),                          # a dual point
+        (["--params=-0.5,0,0.25,-1", "--perturb", "gamma=1.01"], 1),
+        (["--params", "0.5,0,0.25,1.45"], 0),       # kernel integral just in range
+    ])
+    def test_all_relations_reported(self, tmp_path, argv, code):
+        out = tmp_path / "r.json"
+        assert run(["duality-check", *argv, "--out", str(out)]) == code
+        reports = json.loads(out.read_text())
+        assert len(reports) == 12
+        assert all(r["pass"] == (code == 0) for r in reports)
+
 
 class TestMarkovCommand:
     def test_grid_and_breakdown(self, tmp_path):
@@ -227,10 +258,12 @@ class TestErrors:
     def test_bad_perturb_exits_two(self):
         assert run(["duality-check", "--perturb", "mu=2"]) == 2
 
-    @pytest.mark.parametrize("params", ["0.5,0,0.1,1", "0.5,0,0.25,0"])
+    @pytest.mark.parametrize("params", ["0.5,0,0.1,1", "0.5,0,0.25,0", "0.5,0,0.25,1.47",
+                                        "0.5,0,0.25,1.5", "0.5,0,0.25,1.56"])
     def test_domain_errors_exit_two(self, params, capsys):
-        # below T = gamma/(2 pi) the stationary kernel integral diverges;
-        # gamma = 0 leaves the suite's time and frequency units undefined
+        # below T = gamma/(2 pi) the stationary kernel integral diverges, and
+        # just above it its integrand leaves double range; gamma = 0 leaves
+        # the suite's time and frequency units undefined
         assert run(["duality-check", "--params", params]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

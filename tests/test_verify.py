@@ -11,6 +11,7 @@ from rlmdual.verify import (
     DEFAULT_FREQS,
     DEFAULT_PARAMS,
     DEFAULT_TIMES,
+    DEFAULT_TOLERANCES,
     MissingCallbackError,
     SuperOpFamily,
     check_choi_duality,
@@ -292,6 +293,22 @@ class TestExternalFamily:
                 ref = check_kernel_duality_frequency(FAM, rep.params, freqs,
                                                      rep.tolerance)
                 assert rep.witness["frequency"] == ref.witness["frequency"]
+
+    def test_relations_follow_the_samples(self):
+        # a table holding w = i gamma (and its reflection 2i gamma on the dual
+        # point) supports the kernel spectra too; the perturbed coupling moves
+        # every reflection off the table, which drops both kernel relations
+        doc = family_to_json(FAM, DEFAULT_PARAMS[:1], (0.25, 1.0, 2.0), (0.6j, 1j))
+        tab = family_from_json(json.dumps(doc))
+        plain = run_tabulated_suite(tab)
+        assert {r.relation_id for r in plain} == set(DEFAULT_TOLERANCES) - {
+            "generator_duality_gflip", "fixed_point_stationary", "functional_fixed_point"}
+        assert all(r.passed for r in plain)
+        tab.family = perturbed_family(tab.family, 1.01)
+        perturbed = run_tabulated_suite(tab)
+        assert {r.relation_id for r in perturbed} == {r.relation_id for r in plain} - {
+            "kernel_duality", "spectral_cross_kernel_hat"}
+        assert not any(r.passed for r in perturbed)
 
     def test_missing_sample_raises(self):
         doc = family_to_json(FAM, DEFAULT_PARAMS[:1], (0.5,), ())
