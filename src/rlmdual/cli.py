@@ -172,29 +172,19 @@ def cmd_frequency_map(args) -> int:
     res = np.linspace(re_lo, re_hi, nx)
     ims = np.linspace(im_lo, im_hi, ny)
     provider = RlmProvider(params)
-    catalog = pole_catalog(params, n_max=6).all_poles
+    catalog = np.array(pole_catalog(params, n_max=6).all_poles)
     offset = 1e-6 * abs(params.gamma)
     slip = slip_operator(params) if args.which == "slip-error" else None
-    ground = np.zeros((2, 2), dtype=complex)
-    ground[0, 0] = 1.0
-    vg = vectorize(ground)
-
-    def element(e: complex) -> float:
-        if min(abs(e - p) for p in catalog) < 10 * offset:
-            e = e + offset
-        exact = provider.propagator_hat(e)
-        if args.which == "exact":
-            m = exact
-        elif args.which == "semigroup-error":
-            m = exact - semigroup_propagator_hat(e, params)
-        else:
-            m = exact - slip_propagator_hat(e, params, slip=slip)
-        return float(abs(vg.conj() @ (m @ vg)))
-
     rows = []
-    for im in ims:
-        for re in res:
-            rows.append([re, im, element(complex(re, im))])
+    for im in ims:   # one grid row per call keeps memory O(nx)
+        e = res + 1j * im
+        e = np.where(np.abs(e[:, None] - catalog).min(axis=1) < 10 * offset, e + offset, e)
+        m = provider.propagator_hat(e)
+        if args.which == "semigroup-error":
+            m = m - semigroup_propagator_hat(e, params)
+        elif args.which == "slip-error":
+            m = m - slip_propagator_hat(e, params, slip=slip)
+        rows += [[re, im, v] for re, v in zip(res, np.abs(m[:, 0, 0]).tolist())]
     header = ["re_E", "im_E", "abs_element"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
     _emit(text, args.out, args.stdout)
@@ -266,15 +256,14 @@ def cmd_markov(args) -> int:
             cell = onset if isinstance(onset, str) else onset * temp
             rows.append([det, g_over_t, cell])
     header = ["eps_minus_mu_over_T", "gamma_over_T", "cp_onset_times_T"]
-    text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
-    _emit(text, args.out, args.stdout)
-
     bd_rows = []
     for det in detunings:
         if det == 0.0:
             continue
         for n, peak in enumerate(breakdown_locator(temp, det * temp, n_max=args.n_max)):
             bd_rows.append([det, float(n), peak / temp])
+    text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
+    _emit(text, args.out, args.stdout)
     bd_text = _csv(["eps_minus_mu_over_T", "peak_index", "gamma_over_T"], bd_rows)
     if args.out:
         stem, dot, ext = args.out.rpartition(".")

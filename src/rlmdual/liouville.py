@@ -155,11 +155,11 @@ def parity_superop(parity_op: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def choi_of(s: np.ndarray) -> np.ndarray:
-    """Choi operator (s (x) id) |1>><<1| of a superoperator matrix."""
+    """Choi operator (s (x) id) |1>><<1| of a superoperator matrix or a stack of them."""
     s = np.asarray(s)
-    d2 = s.shape[0]
-    d = int(round(np.sqrt(d2)))
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d2, d2).copy()
+    d = int(round(np.sqrt(s.shape[-1])))
+    return np.einsum("...ijkl->...jlik", s.reshape(s.shape[:-2] + (d,) * 4)) \
+        .reshape(s.shape).copy()
 
 
 def superop_from_choi(c: np.ndarray) -> np.ndarray:
@@ -208,15 +208,18 @@ def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.abs(c - c.conj().T).max() <= tol)
 
 
-def is_cp(s: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
-    """Complete positivity witness: (verdict, smallest Choi eigenvalue)."""
+def is_cp(s: np.ndarray, tol: float = 1e-9):
+    """Complete positivity witness: (verdict, smallest Choi eigenvalue).
+
+    A stack of superoperators gives an array of verdicts and one of eigenvalues.
+    """
     c = choi_of(s)
-    herm_defect = np.abs(c - c.conj().T).max()
-    w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    min_eig = float(w[0])
-    if herm_defect > max(tol, 1e-10):
-        return False, min_eig
-    return min_eig >= -tol, min_eig
+    ch = np.swapaxes(c, -1, -2).conj()
+    min_eig = np.linalg.eigvalsh(0.5 * (c + ch))[..., 0]
+    verdict = (np.abs(c - ch).max(axis=(-2, -1)) <= max(tol, 1e-10)) & (min_eig >= -tol)
+    if verdict.ndim == 0:
+        return bool(verdict), float(min_eig)
+    return verdict, min_eig
 
 
 def is_parity_covariant(s: np.ndarray, parity_op: np.ndarray, tol: float = 1e-10) -> bool:

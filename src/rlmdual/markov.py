@@ -10,14 +10,13 @@ dynamics turns completely positive.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .liouville import (
     identity_superop,
@@ -27,7 +26,7 @@ from .liouville import (
     superadjoint,
     vectorize,
 )
-from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_stack, pole_catalog
+from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_hat, mode_stack, pole_catalog
 from .scalars import ModelParams, PoleError, g_stationary, g_tail, k_hat
 
 __all__ = [
@@ -51,6 +50,8 @@ __all__ = [
 ALWAYS = "always"
 NEVER = "never"
 
+_PEAK_FACTOR = 10.0   # breakdown peaks stand this far above the median scan value
+
 
 class PoleCollisionError(ValueError):
     """Two stationary eigenvalues coincide; first-order residues undefined."""
@@ -68,9 +69,12 @@ def semigroup_propagator(t, params: ModelParams) -> np.ndarray:
     return mode_stack(t, params, g_stationary(params))
 
 
-def semigroup_propagator_hat(e: complex, params: ModelParams) -> np.ndarray:
-    g_inf = stationary_generator(params)
-    return 1j * np.linalg.inv(e * identity_superop(2) - g_inf)
+def semigroup_propagator_hat(e, params: ModelParams) -> np.ndarray:
+    """i (E - G_inf)^-1 as the mode sum :func:`model.mode_hat` with s = g_inf.
+
+    An array of frequencies gives a stack.
+    """
+    return mode_hat(e, params, g_stationary(params))
 
 
 def _stationary_poles(params: ModelParams) -> list[complex]:
@@ -90,12 +94,12 @@ def _stationary_poles(params: ModelParams) -> list[complex]:
 
 
 def _contour_residue(f, pole: complex, radius: float, n: int = 32) -> np.ndarray:
-    """Residue of a matrix-valued analytic f by the trapezoid rule on a circle."""
-    acc = 0.0
-    for k in range(n):
-        z = radius * cmath.exp(2j * math.pi * k / n)
-        acc = acc + np.asarray(f(pole + z)) * z
-    return acc / n
+    """Residue of a matrix-valued analytic f by the trapezoid rule on a circle.
+
+    f maps an array of frequencies to a stack of matrices.
+    """
+    z = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    return (f(pole + z) * z[:, None, None]).sum(axis=0) / n
 
 
 def _residue_radius(params: ModelParams, pole: complex) -> float:
@@ -163,7 +167,7 @@ def slip_propagator(t, params: ModelParams,
     return semigroup_propagator(t, params) @ slip.matrix
 
 
-def slip_propagator_hat(e: complex, params: ModelParams,
+def slip_propagator_hat(e, params: ModelParams,
                         slip: SlipOperator | None = None) -> np.ndarray:
     if slip is None:
         slip = slip_operator(params)
@@ -178,86 +182,67 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
     (dense linear-log grid), takes the brentq root of min_eig + cp_tol in the
     last sign change, then demands CP on 64 log-spaced later samples.
     Returns ALWAYS when CP from t = 0 on all samples, NEVER when still non-CP
-    at t_max.
+    at t_max; t_max <= 0 or cp_tol < 0 raise ValueError.
     """
-    gam = abs(params.gamma)
-    temp = params.temperature
     if t_max is None:
-        t_max = 1e3 / min(gam, temp)
+        t_max = 1e3 / min(abs(params.gamma), params.temperature)
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if not cp_tol >= 0:
+        raise ValueError("cp_tol must be nonnegative")
     g_inf = g_stationary(params)
     slip = slip_operator(params).matrix
 
-    def min_eig(t):
+    def min_eig(t):   # a float or an array of times
         return is_cp(mode_stack(t, params, g_inf) @ slip, cp_tol)[1]
 
     lin = np.linspace(0.0, t_max, scan_points // 2)
     log = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, scan_points // 2)
     ts = np.unique(np.concatenate(([0.0], lin, log)))
-    eigs = np.array([min_eig(t) for t in ts])
-    bad = eigs < -cp_tol
+    bad = min_eig(ts) < -cp_tol
     if not bad.any():
         return ALWAYS
     if bad[-1]:
         return NEVER
     last_bad = int(np.where(bad)[0][-1])
     onset = brentq(lambda t: min_eig(t) + cp_tol, ts[last_bad], ts[last_bad + 1])
-    for t in np.geomspace(onset, t_max, 64)[1:]:
-        if min_eig(t) < -cp_tol:
-            # CP did not persist; the scan missed a later violation
-            return cp_onset_time(params, t_max, cp_tol, 2 * scan_points)
+    if (min_eig(np.geomspace(onset, t_max, 64)[1:]) < -cp_tol).any():
+        # CP did not persist; the scan missed a later violation
+        return cp_onset_time(params, t_max, cp_tol, 2 * scan_points)
     return float(onset)
 
 
-def _golden_max(f, lo, hi, tol) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [lo, hi]: (position, value)."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), max(fc, fd)
-
-
-def breakdown_locator(temperature: float, detuning: float, n_max: int = 2,
-                      gamma_max: float | None = None,
-                      peak_factor: float = 10.0) -> list[float]:
-    """Couplings where the slip coefficient peaks: near (2n+1) 2 pi T.
+def breakdown_locator(temperature: float, detuning: float,
+                      n_max: int = 2) -> list[float]:
+    """Couplings where the slip coefficient peaks: near (2n+1) 2 pi T, n = 0..n_max.
 
     Scans |k_hat(-i gamma/2)| over the coupling axis at fixed temperature and
-    detuning, returning refined local-maximum positions that exceed
-    ``peak_factor`` times the median scan value.  Detuning must be nonzero
-    (the limit toward resonance is direction dependent).
+    detuning in one array call, and refines each strict local maximum above
+    ``_PEAK_FACTOR`` times the median scan value by Brent's method on its
+    scan triple.  Detuning must be nonzero (the limit toward resonance is
+    direction dependent).
     """
     if detuning == 0.0:
         raise ValueError("detuning must be nonzero")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if gamma_max is None:
-        gamma_max = (2 * n_max + 1) * 2.0 * math.pi * temperature * 1.15
-    step = min(abs(detuning) / 2.0, 5e-3 * temperature)
-    step = max(step, 1e-4 * temperature)  # scan cost floor for tiny detuning
-    gams = np.arange(step, gamma_max, step)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    # the axis is x = gamma / T, so brent's absolute tolerance floor (1e-11) scales with T;
+    # the step floor bounds the scan cost for tiny detuning
+    step = max(min(abs(detuning) / temperature / 2.0, 5e-3), 1e-4)
+    xs = np.arange(step, (2 * n_max + 1) * 2.0 * math.pi * 1.15, step)
+    probe = ModelParams(detuning, 0.0, temperature, 0.0)   # k_hat ignores gamma
 
-    def size(g):
-        p = ModelParams(detuning, 0.0, temperature, g)
-        return abs(k_hat(-0.5j * g, p))
+    def size(x):   # |k_hat(-i gamma/2)| at gamma = x T
+        return np.abs(k_hat(-0.5j * temperature * x, probe))
 
-    vals = np.array([size(g) for g in gams])
-    threshold = peak_factor * float(np.median(vals))
-    peaks = []
-    for i in range(1, len(gams) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] > threshold:
-            peaks.append(_golden_max(size, gams[i - 1], gams[i + 1], 1e-10 * temperature)[0])
-    return peaks
+    vals = size(xs)
+    mid = vals[1:-1]
+    peaks = (mid > vals[:-2]) & (mid > vals[2:]) & (mid > _PEAK_FACTOR * np.median(vals))
+    return [temperature * float(minimize_scalar(lambda x: -size(x), bracket=tuple(xs[i:i + 3]),
+                                                method="brent", tol=1e-12).x)
+            for i in np.flatnonzero(peaks)]
 
 
 def heisenberg_stationary_generator(params: ModelParams,
@@ -311,12 +296,9 @@ def regularized_slip_limit(params: ModelParams,
     g_inf = provider.generator_stationary()
     dec = spectral_decompose(g_inf)
 
-    def transform(e: complex) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for mode in dec.modes:
-            proj = np.outer(vectorize(mode.right), vectorize(mode.left).conj())
-            out = out + proj @ provider.propagator_hat(e + mode.value)
-        return out
+    def transform(e: np.ndarray) -> np.ndarray:
+        return sum(np.outer(vectorize(mode.right), vectorize(mode.left).conj())
+                   @ provider.propagator_hat(e + mode.value) for mode in dec.modes)
 
     # keep the contour clear of every shifted catalog pole
     shifts = [m.value for m in dec.modes]

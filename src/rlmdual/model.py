@@ -50,6 +50,7 @@ __all__ = [
     "IDENTITY_OP",
     "d_eta",
     "mode_stack",
+    "mode_hat",
     "RlmProvider",
     "PoleCatalog",
     "pole_catalog",
@@ -124,6 +125,24 @@ def mode_stack(t, params: ModelParams, s) -> np.ndarray:
     parity_row = -0.5 * np.expm1(-params.gamma * ts) * s
     coeffs = np.concatenate([lam, parity_row[..., None]], axis=-1)
     return (coeffs @ _MODE_BASIS).reshape(ts.shape + (4, 4))
+
+
+def mode_hat(e, params: ModelParams, s) -> np.ndarray:
+    """Laplace transform of :func:`mode_stack`: i / (E - lambda_k) on each mode.
+
+    ``e`` is a complex number (a 4x4 matrix) or an array (a stack of that
+    shape); ``s`` is a number or an array matching ``e``.  The four isolated
+    poles raise :class:`PoleError`.
+    """
+    lam = _generator_eigenvalues(params)
+    gap = np.asarray(e, dtype=complex)[..., None] - lam
+    hit = np.abs(gap) < 1e-12 * max(1.0, abs(params.gamma))
+    if hit.any():
+        raise PoleError(f"propagator_hat pole at E = {np.broadcast_to(lam, gap.shape)[hit][0]}")
+    coeffs = 1j / gap
+    parity_row = 0.5 * s * (coeffs[..., 0] - coeffs[..., 3])
+    coeffs = np.concatenate([coeffs, parity_row[..., None]], axis=-1)
+    return (coeffs @ _MODE_BASIS).reshape(gap.shape[:-1] + (4, 4))
 
 
 class RlmProvider:
@@ -247,23 +266,12 @@ class RlmProvider:
 
     # -- frequency-domain propagator ------------------------------------------
 
-    def propagator_hat(self, e: complex) -> np.ndarray:
-        """Closed-form resolvent of the dynamics at complex frequency e."""
-        gamma = self.params.gamma
-        eps = self.params.epsilon
-        for pole in (0.0, -1j * gamma, eps - 0.5j * gamma, -eps - 0.5j * gamma):
-            if abs(e - pole) < 1e-12 * max(1.0, abs(gamma)):
-                raise PoleError(f"propagator_hat pole at E = {pole}")
-        kh = k_hat(e + 0.5j * gamma, self.params)
-        one = vectorize(IDENTITY_OP)
-        par = vectorize(PARITY_OP)
-        out = np.zeros((4, 4), dtype=complex)
-        for eta in (1, -1):
-            v = vectorize(d_eta(eta).conj().T)
-            out += (1j / (e + eta * eps + 0.5j * gamma)) * np.outer(v, v.conj())
-        out += (0.5j / e) * np.outer(one + kh * par, one.conj())
-        out += (0.5j / (e + 1j * gamma)) * np.outer(par, par.conj() - kh * one.conj())
-        return out
+    def propagator_hat(self, e) -> np.ndarray:
+        """Closed-form resolvent: :func:`mode_hat` with s = k_hat(E + i gamma/2).
+
+        An array of frequencies gives a stack.
+        """
+        return mode_hat(e, self.params, k_hat(e + 0.5j * self.params.gamma, self.params))
 
     def resolvent_hat(self, e: complex) -> np.ndarray:
         """i / (E - K_hat(E)); equals :meth:`propagator_hat` away from poles."""
@@ -365,11 +373,8 @@ def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False) -> P
 
 
 def _circle_max(provider: RlmProvider, center: complex, radius: float, n: int = 8) -> float:
-    vals = []
-    for k in range(n):
-        e = center + radius * cmath.exp(2j * math.pi * (k + 0.37) / n)
-        vals.append(np.abs(provider.propagator_hat(e)).max())
-    return max(vals)
+    e = center + radius * np.exp(2j * math.pi * (np.arange(n) + 0.37) / n)
+    return float(np.abs(provider.propagator_hat(e)).max())
 
 
 # ---------------------------------------------------------------------------

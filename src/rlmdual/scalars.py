@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import psi
 from scipy.integrate import quad  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "k_hat_pole_ladder",
     "oscillation_panel_width",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 _TWO_PI = 2.0 * math.pi
 
@@ -316,68 +314,39 @@ def p_of_t(t, params: ModelParams):
 # complex digamma and the continued Laplace transform of k
 # ---------------------------------------------------------------------------
 
-# Bernoulli coefficients B_{2n}/(2n) for the asymptotic tail of psi
-_PSI_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+def digamma_complex(z):
+    """Digamma function on the complex plane; z a number or an array.
 
-
-def digamma_complex(z: complex) -> complex:
-    """Digamma function on the complex plane.
-
-    Upward recurrence pushes the argument to Re z >= 10 where the asymptotic
-    (de Moivre) series converges below 1e-13 relative; arguments with negative
-    real part are mapped through the reflection formula.  Nonpositive integers
-    raise :class:`PoleError`.
+    scipy's ``psi``; arguments within 1e-12 of a nonpositive integer raise
+    :class:`PoleError`.
     """
-    z = complex(z)
-    if z.real <= 0.5 and abs(z.imag) < 1e-12:
-        near = round(z.real)
-        if near <= 0 and abs(z.real - near) < 1e-12:
-            raise PoleError(f"digamma pole at z = {near}")
-    if z.real < 0.0:
-        # psi(z) = psi(1 - z) - pi * cot(pi z)
-        w = math.pi * z
-        if abs(w.imag) > 25.0:
-            cot = -1j if w.imag > 0 else 1j
-        else:
-            cot = cmath.cos(w) / cmath.sin(w)
-        return digamma_complex(1.0 - z) - math.pi * cot
-    acc = 0.0 + 0.0j
-    while z.real < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    tail = 0.0 + 0.0j
-    for c in reversed(_PSI_ASYMP):
-        tail = inv2 * (c + tail)
-    return acc + cmath.log(z) - 0.5 * inv - tail
+    z = np.asarray(z, dtype=complex)
+    near = np.rint(z.real)
+    pole = (near <= 0) & (np.abs(z - near) < 1e-12)
+    if pole.any():
+        raise PoleError(f"digamma pole at z = {int(near[pole][0])}")
+    out = psi(z)
+    return complex(out) if out.ndim == 0 else out
 
 
-def k_hat(omega: complex, params: ModelParams) -> complex:
+_ETA = np.array([1.0, -1.0])
+
+
+def k_hat(omega, params: ModelParams):
     """Laplace transform of k, analytically continued via the digamma form.
 
     Valid on the whole complex plane away from the simple-pole ladder at
-    ``omega = +-delta - i pi T (2n+1)``.
+    ``omega = +-delta - i pi T (2n+1)``; ``omega`` is a number or an array.
     """
-    delta = params.detuning
-    temp = params.temperature
-    out = 0.0 + 0.0j
-    for eta in (1.0, -1.0):
-        arg = 0.5 - 1j * (omega + eta * delta) / (_TWO_PI * temp)
-        try:
-            out += eta * digamma_complex(arg)
-        except PoleError as exc:
-            raise PoleError(
-                f"k_hat pole hit at omega = {omega} (digamma argument {arg})") from exc
-    return 1j * out / math.pi
+    omega = np.asarray(omega, dtype=complex)
+    scale = -1j / (_TWO_PI * params.temperature)
+    arg = (0.5 + scale * omega)[..., None] + (scale * params.detuning) * _ETA
+    try:
+        psi_pm = digamma_complex(arg)
+    except PoleError as exc:
+        raise PoleError(f"k_hat pole hit on the ladder +-delta - i pi T (2n+1): {exc}") from exc
+    out = (psi_pm[..., 0] - psi_pm[..., 1]) * (1j / math.pi)
+    return complex(out) if out.ndim == 0 else out
 
 
 def k_hat_pole_ladder(params: ModelParams, n_max: int) -> list[complex]:

@@ -25,6 +25,7 @@ from .liouville import (
     gksl_decompose,
     gksl_decompose_heisenberg,
     identity_superop,
+    is_cp,
     parity_superop,
     spectral_decompose,
     superadjoint,
@@ -541,14 +542,13 @@ def check_choi_duality(family: SuperOpFamily, params: ModelParams, t: float,
     family.require("propagator")
     dual, gam, _, _ = _frame(family, params)
     pbip = np.kron(family.parity_op, family.parity_op)
-    c = choi_of(family.propagator(t, params))
-    cd = choi_of(family.propagator(t, dual))
-    lhs = choi_of(superadjoint(family.propagator(t, params)))
-    mid = choi_duality_transform(c)
-    rhs = math.exp(-gam * t) * pbip @ cd
+    prop, prop_dual = family.propagator(t, params), family.propagator(t, dual)
+    lhs = choi_of(superadjoint(prop))
+    mid = choi_duality_transform(choi_of(prop))
+    rhs = math.exp(-gam * t) * pbip @ choi_of(prop_dual)
     r1 = _maxabs(lhs - mid)
     r2 = _maxabs(mid - rhs)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (cd + cd.conj().T))[0])
+    min_eig = is_cp(prop_dual)[1]
     witness = {"adjoint_vs_swap": r1, "swap_vs_dual": r2,
                "dual_choi_min_eigenvalue": min_eig}
     return _report("choi_duality", params, [t], max(r1, r2), tol, witness)

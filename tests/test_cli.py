@@ -173,6 +173,34 @@ class TestFrequencyMap:
         assert m1 > 10 * m2
 
 
+    def test_slip_error_at_parity_pole_against_mpmath(self, tmp_path):
+        # the cell E = -i gamma of the default map is nudged to -i gamma + 1e-6
+        # gamma; exact and slip-corrected transforms cancel their 1e6-size pole
+        # terms there, leaving <0|X(E)|0> with X the difference of
+        #   i/2 (1 + k)/E + i/2 (1 - k)/(E + i gamma),       k = k_hat(E + i gamma/2),
+        #   i/2 (1 + g)/E + i/2 (1 - g)/(E + i gamma) + i c/(E + i gamma),
+        # g = Re k_hat(i gamma/2), c = (k_hat(i gamma/2) - k_hat(-i gamma/2))/2
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "slip.csv"
+        assert run(["frequency-map", "--which", "slip-error", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        cell = [float(r[2]) for r in rows if float(r[0]) == 0.0 and float(r[1]) == -1.0]
+        assert len(cell) == 1
+        with mpmath.workdps(40):
+            delta, temp, gam = 0.5, 0.25, 1.0
+
+            def kh(w):
+                a = [mpmath.digamma(0.5 - 1j * (w + s * delta) / (2 * mpmath.pi * temp))
+                     for s in (1, -1)]
+                return 1j * (a[0] - a[1]) / mpmath.pi
+
+            e = mpmath.mpc(1e-6 * gam, -gam)
+            k, g = kh(e + 0.5j * gam), mpmath.re(kh(0.5j * gam))
+            c = (kh(0.5j * gam) - kh(-0.5j * gam)) / 2
+            diff = 0.5j * (k - g) / e - 0.5j * (k - g) / (e + 1j * gam) - 1j * c / (e + 1j * gam)
+            assert abs(cell[0] - float(abs(diff))) < 1e-9
+
+
 class TestDualityCheck:
     def test_default_run_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -249,6 +277,15 @@ class TestMarkovCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("flag", ["--n-max=-1", "--t-max=0", "--t-max=-5",
+                                      "--cp-tol=-1"])
+    def test_markov_domain_errors_exit_two(self, flag, capsys):
+        # no scan is attempted: no output, no RuntimeWarning, one error line
+        assert run(["markov", "--grid", "2,2", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_bad_range_exits_two(self, capsys):
         assert run(["dynamics", "--times", "oops"]) == 2
 

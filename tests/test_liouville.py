@@ -206,6 +206,18 @@ class TestPredicates:
         ok, mineig = is_cp(s, 1e-9)
         assert not ok and mineig < -0.5
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(2, 5, 4, 4)) + 1j * rng.normal(size=(2, 5, 4, 4))
+        stack[0, 0] = identity_superop(2)   # CP
+        stack[0, 1] = lmul_rmul(D_OP, D_OP.conj().T)   # CP, Hermitian Choi
+        verdicts, eigs = is_cp(stack, 1e-9)
+        assert verdicts.shape == eigs.shape == (2, 5)
+        for i in np.ndindex(2, 5):
+            assert np.array_equal(choi_of(stack)[i], choi_of(stack[i]))
+            assert (bool(verdicts[i]), float(eigs[i])) == is_cp(stack[i], 1e-9)
+        assert verdicts[0, 0] and verdicts[0, 1] and not verdicts[1].any()
+
     def test_parity_covariance(self):
         assert is_parity_covariant(dissipator(D_OP), PARITY)
         mixing = lmul_rmul(D_OP + np.eye(2), (D_OP + np.eye(2)).conj().T)

@@ -30,7 +30,7 @@ from rlmdual.markov import (
 )
 from rlmdual import markov, model
 from rlmdual.model import IDENTITY_OP, NUMBER_OP, PARITY_OP, RlmProvider
-from rlmdual.scalars import ModelParams, k_hat
+from rlmdual.scalars import ModelParams, PoleError, k_hat
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -137,6 +137,25 @@ class TestSlipOperator:
             slip_operator(ModelParams(0.0, 0.0, 0.25, 1.0))
 
 
+class TestSemigroupHat:
+    def test_against_inverse(self):
+        # the removed inverse path survives here as the oracle
+        rng = np.random.default_rng(12)
+        e = rng.uniform(-3, 3, 12) + 1j * rng.uniform(-3, 3, 12)
+        for th in (TH, ModelParams(1.5, 0.2, 0.5, 1.0), ModelParams(-0.7, 0.2, 1.0, 2.0)):
+            g_inf = stationary_generator(th)
+            stack = semigroup_propagator_hat(e, th)
+            for z, mat in zip(e, stack):
+                ref = 1j * np.linalg.inv(z * identity_superop(2) - g_inf)
+                assert np.abs(mat - ref).max() <= 1e-12
+                assert np.abs(semigroup_propagator_hat(z, th) - ref).max() <= 1e-12
+
+    def test_isolated_poles_raise(self):
+        for pole in (0.0, -1j * TH.gamma, TH.epsilon - 0.5j * TH.gamma):
+            with pytest.raises(PoleError):
+                semigroup_propagator_hat(pole, TH)
+
+
 class TestSlipPropagator:
     def test_no_semigroup_property(self):
         p = lambda t: slip_propagator(t, TH)
@@ -222,6 +241,11 @@ class TestCpOnset:
         onset = cp_onset_time(th)
         assert cp_onset_time(th, t_max=0.5 * onset) == NEVER
 
+    @pytest.mark.parametrize("kwargs", [{"t_max": 0.0}, {"t_max": -5.0}, {"cp_tol": -1.0}])
+    def test_bad_input_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            cp_onset_time(TH, **kwargs)
+
 
 class TestBreakdown:
     def test_peaks_near_odd_multiples(self):
@@ -246,6 +270,31 @@ class TestBreakdown:
     def test_requires_detuning(self):
         with pytest.raises(ValueError):
             breakdown_locator(1.0, 0.0)
+
+    def test_rejects_negative_ladder_depth(self):
+        with pytest.raises(ValueError):
+            breakdown_locator(1.0, 0.1, n_max=-1)
+
+    @pytest.mark.parametrize("delta, temp", [(0.01, 1.0), (0.1, 0.8), (0.25, 2.0),
+                                             (1e-8, 1e-6)])
+    def test_peaks_against_mpmath(self, delta, temp):
+        # k_hat(-i gamma/2) = (i/pi) D, D = psi(z - i y) - psi(z + i y) with
+        # z = 1/2 - x/(4 pi), x = gamma/T, y = delta/(2 pi T); the peak is the
+        # root of d ln|D|/dx = -Re(D'/D) / (4 pi)
+        mpmath = pytest.importorskip("mpmath")
+        peaks = breakdown_locator(temp, delta, n_max=2)
+        assert len(peaks) == 3
+        with mpmath.workdps(40):
+            y = mpmath.mpf(delta) / (2 * mpmath.pi * temp)
+
+            def slope(x):
+                z = 0.5 - x / (4 * mpmath.pi)
+                d = mpmath.digamma(z - 1j * y) - mpmath.digamma(z + 1j * y)
+                return mpmath.re((mpmath.psi(1, z - 1j * y) - mpmath.psi(1, z + 1j * y)) / d)
+
+            for peak in peaks:
+                ref = mpmath.findroot(slope, mpmath.mpf(peak / temp))
+                assert abs(peak / temp - float(ref)) <= 1e-8
 
 
 class TestHeisenbergStationary:

@@ -32,7 +32,7 @@ from rlmdual.model import (
     divisibility_max,
     pole_catalog,
 )
-from rlmdual.scalars import ModelParams, k_hat
+from rlmdual.scalars import ModelParams, PoleError, k_hat
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -387,6 +387,35 @@ class TestPropagatorHat:
         a = np.abs(pr.propagator_hat(10.0j)).max()
         b = np.abs(pr.propagator_hat(20.0j)).max()
         assert a / b == pytest.approx(2.0, rel=0.2)
+
+    def test_array_equals_scalar_calls(self):
+        # the stack goes through one matmul, so entries agree to rounding
+        rng = np.random.default_rng(11)
+        e = rng.uniform(-3, 3, (3, 6)) + 1j * rng.uniform(-3, 3, (3, 6))
+        for th, _ in GRID:
+            pr = RlmProvider(th)
+            stack = pr.propagator_hat(e)
+            assert stack.shape == e.shape + (4, 4)
+            for i in np.ndindex(e.shape):
+                single = pr.propagator_hat(complex(e[i]))
+                assert np.abs(stack[i] - single).max() <= 1e-15 * np.abs(single).max()
+
+    def test_isolated_poles_raise(self):
+        pr = RlmProvider(TH)
+        for pole in pole_catalog(TH).isolated:
+            with pytest.raises(PoleError):
+                pr.propagator_hat(pole)
+            with pytest.raises(PoleError):
+                pr.propagator_hat(np.array([0.3 + 1j, pole]))
+
+    def test_mode_hat_is_the_transform_of_mode_stack(self):
+        # Simpson transform of the mode sum at Im E = 2 gamma, any parity scalar
+        e, s = 0.4 + 2j * TH.gamma, 0.37 - 0.2j
+        ts = np.linspace(0.0, 12.0, 2401)
+        from scipy.integrate import simpson
+        numeric = simpson(np.exp(1j * e * ts)[:, None, None] * model.mode_stack(ts, TH, s),
+                          x=ts, axis=0)
+        assert np.abs(numeric - model.mode_hat(e, TH, s)).max() < 1e-7
 
 
 class TestObservables:

@@ -278,14 +278,25 @@ class TestDigamma:
             lhs = digamma_complex(z + 1.0) - digamma_complex(z)
             assert lhs == pytest.approx(1.0 / z, rel=1e-11, abs=1e-13)
 
-    def test_against_scipy(self):
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(4)
         for _ in range(60):
             z = complex(rng.uniform(-20, 20), rng.uniform(-30, 30))
             if min(abs(z - n) for n in range(-25, 1)) < 1e-3:
                 continue
-            ref = complex(sps.digamma(z))
+            with mpmath.workdps(30):
+                ref = complex(mpmath.digamma(mpmath.mpc(z)))
             assert digamma_complex(z) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-20, 20, (3, 7)) + 1j * rng.uniform(-30, 30, (3, 7))
+        vals = digamma_complex(z)
+        assert vals.shape == z.shape
+        assert all(vals[i] == digamma_complex(complex(z[i])) for i in np.ndindex(z.shape))
+        with pytest.raises(PoleError):
+            digamma_complex(np.array([0.5 + 1j, -3.0]))
 
     def test_pole_rejection(self):
         for z in (0.0, -1.0, -7.0):
@@ -294,6 +305,20 @@ class TestDigamma:
 
 
 class TestKernelTransform:
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(6)
+        w = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
+        for th in THETAS:
+            vals = k_hat(w, th)
+            assert vals.shape == w.shape
+            assert all(vals[i] == k_hat(complex(w[i]), th) for i in np.ndindex(w.shape))
+
+    def test_pole_in_array_raises(self):
+        th = THETAS[0]
+        pole = k_hat_pole_ladder(th, 1)[3]
+        with pytest.raises(PoleError):
+            k_hat(np.array([0.3j, pole]), th)
+
     def test_resonance_vanishes(self):
         th = ModelParams(0.3, 0.3, 0.5, 1.0)
         assert abs(k_hat(0.7 + 0.4j, th)) < 1e-14

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rlmdual.liouville import canonical_kraus, vectorize
+from rlmdual.liouville import canonical_kraus, choi_of, vectorize
 from rlmdual.model import PARITY_OP, RlmProvider
 from rlmdual.scalars import ModelParams
 from rlmdual.verify import (
@@ -239,6 +239,13 @@ class TestChoiDuality:
         rep = check_choi_duality(FAM, TH, 1.0, 1e-8)
         assert rep.passed
         assert rep.witness["dual_choi_min_eigenvalue"] < -0.01
+
+    def test_witness_is_the_dual_choi_minimum(self):
+        # bitwise the smallest eigenvalue of the Hermitian part of the dual Choi
+        for t in (0.3, 1.0, 2.5):
+            cd = choi_of(FAM.propagator(t, TH.dual()))
+            want = float(np.linalg.eigvalsh(0.5 * (cd + cd.conj().T))[0])
+            assert check_choi_duality(FAM, TH, t).witness["dual_choi_min_eigenvalue"] == want
 
 
 class TestFixedPoints:
