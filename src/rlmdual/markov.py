@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
-from scipy.optimize import brentq, minimize_scalar
 
 from .liouville import (
     identity_superop,
@@ -51,6 +49,15 @@ ALWAYS = "always"
 NEVER = "never"
 
 _PEAK_FACTOR = 10.0   # breakdown peaks stand this far above the median scan value
+
+
+def __getattr__(name):
+    # scipy.linalg loads only when a tracer looks up ``expm`` to wrap it
+    # (perfbench/tracing.py); nothing in this module calls it
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PoleCollisionError(ValueError):
@@ -204,6 +211,8 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
         return ALWAYS
     if bad[-1]:
         return NEVER
+    from scipy.optimize import brentq
+
     last_bad = int(np.where(bad)[0][-1])
     onset = brentq(lambda t: min_eig(t) + cp_tol, ts[last_bad], ts[last_bad + 1])
     if (min_eig(np.geomspace(onset, t_max, 64)[1:]) < -cp_tol).any():
@@ -236,6 +245,8 @@ def breakdown_locator(temperature: float, detuning: float,
 
     def size(x):   # |k_hat(-i gamma/2)| at gamma = x T
         return np.abs(k_hat(-0.5j * temperature * x, probe))
+
+    from scipy.optimize import minimize_scalar
 
     vals = size(xs)
     mid = vals[1:-1]

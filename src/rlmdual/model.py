@@ -15,7 +15,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 from .liouville import (
     SpectralDecomposition,
@@ -59,6 +58,16 @@ __all__ = [
 ]
 
 DIM = 2
+
+
+def __getattr__(name):
+    # scipy.linalg loads only when a tracer looks up ``expm`` to wrap it
+    # (perfbench/tracing.py); nothing in this module calls it
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 ANNIHILATOR = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 CREATOR = ANNIHILATOR.conj().T
@@ -149,7 +158,7 @@ class RlmProvider:
     """All representations of the level dynamics at one parameter point.
 
     The scalars g, g_dual and p are memoized per time (or per time array), and
-    p is built from the memoized g and g_dual, so repeated superoperator
+    p is built from the memoized g, so repeated superoperator
     requests at the same times are cheap.  Memoized arrays are read-only.  The
     memo fills are idempotent, which keeps concurrent use safe.
     """
@@ -181,7 +190,7 @@ class RlmProvider:
         return self._memoized("g_dual", t, lambda: g_dual_of_t(t, self.params))
 
     def p(self, t):
-        return self._memoized("p", t, lambda: p_from_g(t, self.g(t), self.g_dual, self.params))
+        return self._memoized("p", t, lambda: p_from_g(t, self.g(t), self.params))
 
     def g_infinity(self) -> float:
         return g_stationary(self.params)

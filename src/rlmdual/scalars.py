@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import psi
-from scipy.integrate import quad  # noqa: F401  uncalled; perfbench/tracing.py wraps this name
 
 __all__ = [
     "ModelParams",
@@ -43,6 +42,15 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def __getattr__(name):
+    # scipy.integrate loads only when a tracer looks up ``quad`` to wrap it
+    # (perfbench/tracing.py); nothing in the package calls it
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -180,12 +188,12 @@ def _piecewise(ts: np.ndarray, scalar: bool, first: np.ndarray, f_first, f_secon
     return float(out[0]) if scalar else out
 
 
-def _series(ts: np.ndarray, params: ModelParams) -> np.ndarray:
-    """4T sum_n Im[exp(-b_n t) / b_n] for 2 pi T t >= 1/2, cut at 2 pi T n t >= 40."""
+def _series(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
+    """4T sum_n Im[exp(-(b_n + shift) t) / b_n] for 2 pi T t >= 1/2, cut at 2 pi T n t >= 40."""
     temp = params.temperature
     b = (0.5 * params.gamma + math.pi * temp - 1j * params.detuning) \
         + _TWO_PI * temp * np.arange(82)
-    return 4.0 * temp * (np.exp(np.multiply.outer(-ts, b)) / b).imag.sum(axis=1)
+    return 4.0 * temp * (np.exp(np.multiply.outer(-ts, b + shift)) / b).imag.sum(axis=1)
 
 
 def g_tail(t, params: ModelParams):
@@ -273,8 +281,10 @@ def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
         return scale * (-np.expm1(-c * rest) * a - 0.5 * c * (1.0 + np.exp(-c * rest)) * b)
 
     width = oscillation_panel_width(params)
-    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, ts, width)
-    out = combine(ts, 0.5 * (whole * width + ts), a_last, b_last)
+    # |k(s)| < 4T e^{-pi T s} and 0 <= R <= 1: past pi T s = 40 the rest is below 1e-17
+    reach = np.minimum(ts, 40.0 / (math.pi * params.temperature))
+    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, reach, width)
+    out = combine(ts, 0.5 * (whole * width + reach), a_last, b_last)
     mids = width * (np.arange(a.size) + 0.5)
     step = max(1, _BLOCK // max(a.size, 1))
     for i in range(0, len(ts), step):
@@ -284,30 +294,35 @@ def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
     return out
 
 
-def p_from_g(t, g, g_dual, params: ModelParams):
+def p_from_g(t, g, params: ModelParams):
     """p at times t (a float or a 1-D array) from g at the same times.
 
     Uses ``(1 - exp(-gamma t)) p(t) = g(t) + exp(-gamma t) g_dual(t)`` where
-    g has its closed form (2 pi T t >= 1/2) and |gamma t| >= 1e-6.  Below
-    either bound the identity cancels digits, and :func:`_p_direct` is used.
-    ``g_dual`` maps a 1-D array of times to g_dual there; it is called only
-    with the times the identity serves (elsewhere g_dual may overflow).
+    g has its closed form (2 pi T t >= 1/2) and |gamma t| >= 0.3.  The product
+    exp(-gamma t) g_dual(t) is one series: exp(-gamma t) exp(-b'_n t) of the
+    dual series is exp(-conj(b_n) t), which cannot overflow for gamma > 0 where
+    g_dual(t) alone does.  Below either bound the identity cancels digits
+    (1e-11 relative at gamma t = 1e-2), and :func:`_p_direct` is used.
     """
     ts, scalar = _times(t)
+    if params.detuning == 0.0:
+        return 0.0 if scalar else np.zeros_like(ts)
     gt = params.gamma * ts
     g = np.broadcast_to(g, ts.shape)
+    dual = params.dual()
 
     def identity(m):
-        return (g[m] + np.exp(-gt[m]) * g_dual(ts[m])) / -np.expm1(-gt[m])
+        scaled_dual = np.exp(-gt[m]) * _g_constant(dual) - _series(ts[m], dual, params.gamma)
+        return (g[m] + scaled_dual) / -np.expm1(-gt[m])
 
     return _piecewise(
-        ts, scalar, (np.abs(gt) >= 1e-6) & (_TWO_PI * params.temperature * ts >= 0.5),
+        ts, scalar, (np.abs(gt) >= 0.3) & (_TWO_PI * params.temperature * ts >= 0.5),
         identity, lambda m: _p_direct(ts[m], params))
 
 
 def p_of_t(t, params: ModelParams):
     """Doubly averaged kernel function entering the propagator (see :func:`p_from_g`)."""
-    return p_from_g(t, g_of_t(t, params), lambda ts: g_dual_of_t(ts, params), params)
+    return p_from_g(t, g_of_t(t, params), params)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,14 @@ class TestDynamics:
                     "--stdout"]) == 0
         assert "nan" not in capsys.readouterr().out
 
+    def test_occupation_finite_where_g_dual_overflows(self, capsys):
+        # p's identity takes e^{-gamma t} g_dual(t) as one series; past
+        # t = 8e4 (2 pi T t >= 1/2) the product alone was 0 * inf
+        assert run(["dynamics", "--T", "1e-6", "--eps", "5", "--times", "0,2e5",
+                    "--points", "11", "--stdout"]) == 0
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and captured.err == ""
+
     def test_current_matches_product_form(self, tmp_path):
         from rlmdual.model import RlmProvider
         from rlmdual.scalars import ModelParams

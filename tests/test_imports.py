@@ -1,0 +1,38 @@
+"""Start-up cost: importing the CLI loads numpy and scipy.special, not the rest of scipy."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+import scipy.integrate
+import scipy.linalg
+
+import rlmdual.markov
+import rlmdual.model
+import rlmdual.scalars
+
+DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.integrate")
+
+
+def test_cli_import_leaves_deferred_scipy_unloaded():
+    code = ("import sys, rlmdual.cli; "
+            f"print(','.join(m for m in {DEFERRED!r} if m in sys.modules))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(rlmdual.scalars.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_lazy_names_are_scipys():
+    assert rlmdual.model.expm is scipy.linalg.expm
+    assert rlmdual.markov.expm is scipy.linalg.expm
+    assert rlmdual.scalars.quad is scipy.integrate.quad
+
+
+@pytest.mark.parametrize("module", [rlmdual.scalars, rlmdual.model, rlmdual.markov])
+def test_unknown_attribute_raises(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name

@@ -183,18 +183,20 @@ class TestPropagatorStack:
             RlmProvider(TH).propagator(np.array([0.5, -0.1]))
 
     def test_p_served_from_memoized_g(self, monkeypatch):
-        calls = []
-        real = model.g_dual_of_t
-        monkeypatch.setattr(model, "g_dual_of_t",
-                            lambda t, th: calls.append(t) or real(t, th))
+        calls = {"g_of_t": [], "g_dual_of_t": []}
+        for name, real in (("g_of_t", model.g_of_t), ("g_dual_of_t", model.g_dual_of_t)):
+            monkeypatch.setattr(model, name,
+                                lambda t, th, name=name, real=real:
+                                calls[name].append(t) or real(t, th))
         pr = RlmProvider(TH)
         ts = np.linspace(0.0, 5.0, 11)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-        pr.occupation(ts, rho0)     # p(ts) computes g_dual(ts) once
+        pr.occupation(ts, rho0)     # p(ts) computes g(ts) once
         pr.current(ts, rho0)        # served from the memo
         pr.current(0.4, rho0)
         pr.p(0.4)
-        assert len(calls) == 2
+        assert len(calls["g_of_t"]) == 2
+        assert calls["g_dual_of_t"] == []   # p folds e^{-gamma t} g_dual(t) into one series
 
 
 class TestKrausSet:

@@ -247,6 +247,37 @@ class TestClosedFormAgainstMpmath:
             assert abs(p[i] - rp) <= 1e-12 * abs(rp), t
             assert abs(g_of_t(t, th) - float(rg)) <= 1e-12 * abs(float(rg)), t
 
+    def test_p_at_small_coupling(self):
+        # |gamma t| << 1 in the closed-form regime, where the identity cancels
+        # log10(1/|gamma t|) digits, and on both sides of the switch at 0.3
+        mpmath = pytest.importorskip("mpmath")
+        for gam, t in ((1e-4, 0.2), (1e-4, 1.0), (1e-3, 0.2), (0.29, 1.0), (0.31, 1.0),
+                       (4.0, 0.08)):
+            th = ModelParams(0.7, 0.0, 1.0, gam)
+            with mpmath.workdps(30):
+                rg, rd = mp_g(mpmath, t, th), mp_g(mpmath, t, th.dual())
+                decay = mpmath.exp(-gam * t)
+                rp = float((rg + decay * rd) / (1 - decay))
+            assert abs(p_of_t(t, th) - rp) <= 1e-12 * abs(rp), (gam, t)
+
+    def test_p_where_g_dual_overflows(self):
+        # gamma > 2 pi T: g_dual(t) grows as e^{(gamma/2 - pi T) t} and overflows
+        # past t ~ 1400, while e^{-gamma t} g_dual(t) stays below e^{-gamma t/2}
+        mpmath = pytest.importorskip("mpmath")
+        th = ModelParams(5.0, 0.0, 1e-6, 1.0)
+        d, temp, gam = th.detuning, th.temperature, th.gamma
+        ts = np.linspace(0.0, 2e5, 11)[1:]
+        p = p_of_t(ts, th)   # a RuntimeWarning fails the run
+        # for t >= 2e4 the tail of g, e^{-gamma t} g_dual and e^{-gamma t} g_inf
+        # are each below (4 |delta|/(pi gamma)) e^{-gamma t/2}: p(t) = g_inf
+        f = lambda s: mpmath.exp(-gam * s / 2) * 2 * temp * mpmath.sin(d * s) \
+            / mpmath.sinh(mpmath.pi * temp * s)
+        span = 100.0 / (0.5 * gam + math.pi * temp)   # the integrand falls by e^-100
+        with mpmath.workdps(20):
+            ref = float(mpmath.quad(f, mpmath.linspace(0, span, int(d * span / math.pi) + 2)))
+        assert np.isfinite(p).all()
+        assert np.abs(p - ref).max() <= 1e-12 * abs(ref)
+
     def test_array_entries_equal_float_calls(self):
         for th in ORACLE_THETAS + [ModelParams(0.7, 0.0, 0.3, 1e-9)]:
             ts = np.concatenate(([0.0], oracle_times(th.temperature), [20.0]))
