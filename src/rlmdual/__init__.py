@@ -58,14 +58,12 @@ from .verify import (
 from .markov import (
     ALWAYS,
     NEVER,
-    SlipOperator,
     semigroup_propagator,
     slip_operator,
     slip_propagator,
     cp_onset_time,
     breakdown_locator,
     heisenberg_stationary_generator,
-    regularized_slip_limit,
 )
 
 __version__ = "0.1.0"

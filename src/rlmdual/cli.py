@@ -122,7 +122,7 @@ def cmd_dynamics(args) -> int:
     fd = (provider.occupation(ts + h, rho0)
           - provider.occupation(t_minus, rho0)) / (ts + h - t_minus)
     semigroup = semigroup_propagator(ts, params)
-    slip = semigroup @ slip_operator(params).matrix   # slip_propagator on the same stack
+    slip = semigroup @ slip_operator(params)   # slip_propagator on the same stack
     columns = [
         ts,
         provider.occupation(ts, rho0),

@@ -1,18 +1,17 @@
 """Nonperturbative semigroup and initial-slip approximations.
 
 The stationary time-local generator defines a semigroup approximation whose
-long-time error is corrected by a constant slip superoperator built from the
-residues of the frequency-domain propagator at the stationary eigenvalues.
-This module constructs both approximations, locates the physical parameter
-points where the slip construction breaks down, and measures when the slipped
-dynamics turns completely positive.
+long-time error is corrected by a constant slip superoperator.  The duality
+fixes the slip in closed form: 1 plus the slip coefficient
+(k_hat(i gamma/2) - k_hat(-i gamma/2))/2 on |parity><1|.  This module
+constructs both approximations, locates the physical parameter points where
+the slip coefficient breaks down, and measures when the slipped dynamics turns
+completely positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,17 +19,14 @@ from .liouville import (
     identity_superop,
     is_cp,
     parity_superop,
-    spectral_decompose,
-    superadjoint,
     vectorize,
 )
-from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_hat, mode_stack, pole_catalog
-from .scalars import ModelParams, PoleError, g_stationary, g_tail, k_hat
+from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_hat, mode_stack
+from .scalars import ModelParams, PoleError, g_stationary, k_hat
 
 __all__ = [
     "ALWAYS",
     "NEVER",
-    "SlipOperator",
     "PoleCollisionError",
     "stationary_generator",
     "semigroup_propagator",
@@ -41,8 +37,6 @@ __all__ = [
     "cp_onset_time",
     "breakdown_locator",
     "heisenberg_stationary_generator",
-    "RegularizedSlip",
-    "regularized_slip_limit",
 ]
 
 ALWAYS = "always"
@@ -61,7 +55,7 @@ def __getattr__(name):
 
 
 class PoleCollisionError(ValueError):
-    """Two stationary eigenvalues coincide; first-order residues undefined."""
+    """Two stationary eigenvalues coincide; the slip is defined at distinct ones."""
 
 
 def stationary_generator(params: ModelParams) -> np.ndarray:
@@ -84,8 +78,8 @@ def semigroup_propagator_hat(e, params: ModelParams) -> np.ndarray:
     return mode_hat(e, params, g_stationary(params))
 
 
-def _stationary_poles(params: ModelParams) -> list[complex]:
-    """Distinct stationary eigenvalues {0, -i G, +-eps - i G/2} with collision check."""
+def _reject_pole_collision(params: ModelParams) -> None:
+    """Raise unless the stationary eigenvalues {0, -i G, +-eps - i G/2} are distinct."""
     gam = params.gamma
     eps = params.epsilon
     vals = [0.0 + 0.0j, -1j * gam, eps - 0.5j * gam, -eps - 0.5j * gam]
@@ -94,63 +88,20 @@ def _stationary_poles(params: ModelParams) -> list[complex]:
     for v in vals:
         if any(abs(v - u) < tol for u in distinct):
             raise PoleCollisionError(
-                f"stationary eigenvalues collide near {v}; the first-order "
-                "residue construction does not apply")
+                f"stationary eigenvalues collide near {v}; the slip operator "
+                "is defined for simple, distinct stationary eigenvalues only")
         distinct.append(v)
-    return distinct
 
 
-def _contour_residue(f, pole: complex, radius: float, n: int = 32) -> np.ndarray:
-    """Residue of a matrix-valued analytic f by the trapezoid rule on a circle.
-
-    f maps an array of frequencies to a stack of matrices.
-    """
-    z = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    return (f(pole + z) * z[:, None, None]).sum(axis=0) / n
-
-
-def _residue_radius(params: ModelParams, pole: complex) -> float:
-    others = [q for q in pole_catalog(params, n_max=3).all_poles
-              if abs(q - pole) > 1e-12 * max(1.0, abs(params.gamma))]
-    spacing = min(abs(pole - q) for q in others)
-    return min(1e-3 * abs(params.gamma), 0.3 * spacing)
-
-
-def _residues(params: ModelParams) -> tuple[tuple[complex, np.ndarray], ...]:
-    """-i Res of the frequency-domain propagator at each stationary eigenvalue."""
-    provider = RlmProvider(params)
-    return tuple(
-        (p, -1j * _contour_residue(provider.propagator_hat, p, _residue_radius(params, p)))
-        for p in _stationary_poles(params))
-
-
-@dataclass(frozen=True)
-class SlipOperator:
-    matrix: np.ndarray
-    construction: str
-    params: ModelParams
-
-    @cached_property
-    def residues(self) -> tuple[tuple[complex, np.ndarray], ...]:
-        """Contour residues at the stationary eigenvalues, evaluated on first use."""
-        return _residues(self.params)
-
-
-def slip_operator(params: ModelParams, method: str = "closed-form") -> SlipOperator:
+def slip_operator(params: ModelParams) -> np.ndarray:
     """Initial-slip correction S with Pi(t) ~ exp(-i G_inf t) S at long times.
 
-    ``closed-form`` uses 1 + (k_hat(iG/2) - k_hat(-iG/2))/2 |parity><1|, the
-    unique TP, duality-covariant solution with the (irrelevant) coherence
-    terms set to zero.  ``residue-sum`` accumulates -i Res of the
-    frequency-domain propagator at each distinct stationary eigenvalue by
-    contour quadrature.  Both paths agree; the residues are attached either
-    way (computed on first access for the closed form).
+    The closed form 1 + (k_hat(iG/2) - k_hat(-iG/2))/2 |parity><1|: the sum of
+    -i Res of the frequency-domain propagator at the four stationary
+    eigenvalues, and the unique TP, duality-covariant solution with the
+    (irrelevant) coherence terms set to zero.
     """
-    _stationary_poles(params)
-    if method == "residue-sum":
-        return SlipOperator(np.asarray(sum(r for _, r in _residues(params))), method, params)
-    if method != "closed-form":
-        raise ValueError("method must be 'closed-form' or 'residue-sum'")
+    _reject_pole_collision(params)
     gam = params.gamma
     try:
         coeff = 0.5 * (k_hat(0.5j * gam, params) - k_hat(-0.5j * gam, params))
@@ -158,27 +109,26 @@ def slip_operator(params: ModelParams, method: str = "closed-form") -> SlipOpera
         raise PoleError(
             "slip coefficient diverges: k_hat(-i gamma/2) sits on the "
             f"breakdown ladder ({exc})") from exc
-    matrix = identity_superop(2) + coeff * np.outer(
+    return identity_superop(2) + coeff * np.outer(
         vectorize(PARITY_OP), vectorize(IDENTITY_OP).conj())
-    return SlipOperator(matrix, method, params)
 
 
 def slip_propagator(t, params: ModelParams,
-                    slip: SlipOperator | None = None) -> np.ndarray:
+                    slip: np.ndarray | None = None) -> np.ndarray:
     """exp(-i G_inf t) S; TP, but not CP at early times when S is nontrivial.
 
     A 1-D array of times gives an (N,4,4) stack.
     """
     if slip is None:
         slip = slip_operator(params)
-    return semigroup_propagator(t, params) @ slip.matrix
+    return semigroup_propagator(t, params) @ slip
 
 
 def slip_propagator_hat(e, params: ModelParams,
-                        slip: SlipOperator | None = None) -> np.ndarray:
+                        slip: np.ndarray | None = None) -> np.ndarray:
     if slip is None:
         slip = slip_operator(params)
-    return semigroup_propagator_hat(e, params) @ slip.matrix
+    return semigroup_propagator_hat(e, params) @ slip
 
 
 def cp_onset_time(params: ModelParams, t_max: float | None = None,
@@ -198,7 +148,7 @@ def cp_onset_time(params: ModelParams, t_max: float | None = None,
     if not cp_tol >= 0:
         raise ValueError("cp_tol must be nonnegative")
     g_inf = g_stationary(params)
-    slip = slip_operator(params).matrix
+    slip = slip_operator(params)
 
     def min_eig(t):   # a float or an array of times
         return is_cp(mode_stack(t, params, g_inf) @ slip, cp_tol)[1]
@@ -251,85 +201,24 @@ def breakdown_locator(temperature: float, detuning: float,
     vals = size(xs)
     mid = vals[1:-1]
     peaks = (mid > vals[:-2]) & (mid > vals[2:]) & (mid > _PEAK_FACTOR * np.median(vals))
+    # without bounds minimize_scalar runs Brent's method
     return [temperature * float(minimize_scalar(lambda x: -size(x), bracket=tuple(xs[i:i + 3]),
-                                                method="brent", tol=1e-12).x)
+                                                tol=1e-12).x)
             for i in np.flatnonzero(peaks)]
 
 
-def heisenberg_stationary_generator(params: ModelParams,
-                                    path_tol: float = 1e-7) -> np.ndarray:
+def heisenberg_stationary_generator(params: ModelParams) -> np.ndarray:
     """Stationary Heisenberg generator with the dual map applied after t -> inf.
 
     Built as i G 1 - P G_inf_dual P where the dual stationary generator uses
     the analytically continued value -k_hat(-i gamma/2) for its stationary
     scalar (the naive long-time limit of the dual generator need not exist).
-    Cross-checked against [S^-1 G_inf S]^sadj; disagreement raises.
     """
     gam = params.gamma
-    g_inf = stationary_generator(params)
     pmat = parity_superop(PARITY_OP)
     ident = identity_superop(2)
 
     dual = params.dual()
     g_dual_stationary = -k_hat(-0.5j * gam, params).real
     g_inf_dual = RlmProvider(dual)._generator_from_g(g_dual_stationary)
-    via_duality = 1j * gam * ident - pmat @ g_inf_dual @ pmat
-
-    slip = slip_operator(params)
-    via_slip = superadjoint(np.linalg.solve(slip.matrix, g_inf @ slip.matrix))
-    defect = float(np.abs(via_duality - via_slip).max())
-    if defect > path_tol * max(1.0, abs(gam)):
-        raise RuntimeError(
-            f"stationary Heisenberg generator paths disagree by {defect:.2e}")
-    return via_duality
-
-
-@dataclass(frozen=True)
-class RegularizedSlip:
-    matrix: np.ndarray
-    naive_limit_diverges: bool
-    naive_final_norm: float
-    horizon: float
-
-
-def regularized_slip_limit(params: ModelParams,
-                           horizon_factor: float = 40.0) -> RegularizedSlip:
-    """Slip as the zero-frequency residue of the transform of e^{i G_inf t} Pi(t).
-
-    The Laplace transform is evaluated exactly through the stationary mode
-    decomposition (each mode contributes the frequency-shifted propagator
-    transform, analytically continued), and the residue at zero is taken by
-    contour quadrature.  The report also records whether the naive long-time
-    limit of e^{i G_inf t} Pi(t) diverges on the horizon, which happens once
-    the coupling exceeds the thermal threshold.
-    """
-    provider = RlmProvider(params)
-    g_inf = provider.generator_stationary()
-    dec = spectral_decompose(g_inf)
-
-    def transform(e: np.ndarray) -> np.ndarray:
-        return sum(np.outer(vectorize(mode.right), vectorize(mode.left).conj())
-                   @ provider.propagator_hat(e + mode.value) for mode in dec.modes)
-
-    # keep the contour clear of every shifted catalog pole
-    shifts = [m.value for m in dec.modes]
-    poles = pole_catalog(params, n_max=3).all_poles
-    spacing = min(abs(q - s) for q in poles for s in shifts if abs(q - s) > 1e-12)
-    radius = min(1e-3 * abs(params.gamma), 0.3 * spacing)
-    matrix = -1j * _contour_residue(transform, 0.0, radius)
-
-    # Naive-limit probe.  The only entry of e^{i G_inf t} Pi(t) that can grow
-    # is the parity-row coefficient e^{gamma t}(g(t) - g_inf) + g_dual(t);
-    # taking the tail g(t) - g_inf as its exponential series keeps the product
-    # numerically stable at any horizon (a matrix-product probe would drown
-    # in e^{gamma t}-amplified rounding noise).
-    gam = params.gamma
-    horizon = horizon_factor / min(abs(gam), math.pi * params.temperature)
-    probe_end = min(horizon, 600.0 / abs(gam))  # keep exp(gamma t) in range
-    ts = np.linspace(0.25 * probe_end, probe_end, 8)
-    coeff = np.exp(gam * ts) * g_tail(ts, params) + provider.g_dual(ts)
-    norms = np.maximum(1.0, 0.5 * np.abs(coeff))
-    over = np.flatnonzero(norms > 1e6)
-    diverges = over.size > 0
-    final_norm = float(norms[over[0] if diverges else -1])
-    return RegularizedSlip(matrix, diverges, final_norm, horizon)
+    return 1j * gam * ident - pmat @ g_inf_dual @ pmat

@@ -25,7 +25,6 @@ from .liouville import (
     KrausTerm,
     commutator_superop,
     dissipator,
-    identity_superop,
     vectorize,
 )
 from .scalars import (
@@ -282,11 +281,6 @@ class RlmProvider:
         """
         return mode_hat(e, self.params, k_hat(e + 0.5j * self.params.gamma, self.params))
 
-    def resolvent_hat(self, e: complex) -> np.ndarray:
-        """i / (E - K_hat(E)); equals :meth:`propagator_hat` away from poles."""
-        kh = self.memory_kernel_hat(e)
-        return 1j * np.linalg.inv(e * identity_superop(DIM) - kh)
-
     # -- jump layer -----------------------------------------------------------
 
     def jump_set(self, t: float) -> JumpSet:
@@ -355,12 +349,12 @@ class PoleCatalog:
         return self.isolated + self.ladder
 
 
-def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False) -> PoleCatalog:
-    """Exact pole positions of the frequency-domain propagator.
+def pole_catalog(params: ModelParams, n_max: int = 2) -> PoleCatalog:
+    """Exact pole positions of the frequency-domain propagator, in closed form.
 
-    Isolated poles sit at 0, -i Gamma and +-eps - i Gamma/2; the thermal
-    ladder at +-(eps - mu) - i Gamma/2 - i pi T (2n+1).  With ``verify`` each
-    pole is confirmed by growth of |propagator_hat| on a shrinking circle.
+    Isolated poles sit at 0, -i Gamma and +-eps - i Gamma/2, the eigenvalues of
+    the generator; the thermal ladder at +-(eps - mu) - i Gamma/2 - i pi T (2n+1),
+    the poles of k_hat(E + i Gamma/2) for n = 0..n_max.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -368,22 +362,7 @@ def pole_catalog(params: ModelParams, n_max: int = 2, verify: bool = False) -> P
     eps = params.epsilon
     isolated = (0.0 + 0.0j, -1j * gamma, eps - 0.5j * gamma, -eps - 0.5j * gamma)
     ladder = tuple(w - 0.5j * gamma for w in k_hat_pole_ladder(params, n_max))
-    catalog = PoleCatalog(isolated, ladder)
-    if verify:
-        provider = RlmProvider(params)
-        all_p = catalog.all_poles
-        for pole in all_p:
-            spacing = min((abs(pole - q) for q in all_p if q != pole), default=1.0)
-            r = min(1e-2 * max(abs(gamma), 1.0), 0.3 * spacing)
-            grow = _circle_max(provider, pole, 0.25 * r) / _circle_max(provider, pole, r)
-            if grow < 2.0:
-                raise ValueError(f"no pole growth detected at E = {pole}")
-    return catalog
-
-
-def _circle_max(provider: RlmProvider, center: complex, radius: float, n: int = 8) -> float:
-    e = center + radius * np.exp(2j * math.pi * (np.arange(n) + 0.37) / n)
-    return float(np.abs(provider.propagator_hat(e)).max())
+    return PoleCatalog(isolated, ladder)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from rlmdual.markov import (
     breakdown_locator,
     cp_onset_time,
     heisenberg_stationary_generator,
-    regularized_slip_limit,
     semigroup_propagator,
     semigroup_propagator_hat,
     slip_operator,
@@ -29,8 +28,17 @@ from rlmdual.markov import (
     stationary_generator,
 )
 from rlmdual import markov, model
-from rlmdual.model import IDENTITY_OP, NUMBER_OP, PARITY_OP, RlmProvider
+from rlmdual.model import (
+    DIVERGES,
+    IDENTITY_OP,
+    NUMBER_OP,
+    PARITY_OP,
+    RlmProvider,
+    divisibility_max,
+)
 from rlmdual.scalars import ModelParams, PoleError, k_hat
+
+from oracles import heisenberg_via_slip, regularized_slip, residue_slip
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -77,7 +85,7 @@ class TestStacks:
             for t, a, b in zip(ts, semi, slipped):
                 ref = expm(-1j * g_inf * t)
                 assert np.abs(a - ref).max() < 1e-12
-                assert np.abs(b - ref @ slip.matrix).max() < 1e-12
+                assert np.abs(b - ref @ slip).max() < 1e-12
 
     def test_stack_entry_equals_float_call(self):
         ts = np.array([0.0, 0.3, 2.0, 11.0])
@@ -99,37 +107,30 @@ class TestStacks:
 
 
 class TestSlipOperator:
-    def test_residues_evaluated_on_first_access(self):
-        s = slip_operator(TH)
-        assert "residues" not in vars(s)
-        assert len(s.residues) == 4
-        assert "residues" in vars(s)
-
     def test_paths_agree(self):
-        s_cl = slip_operator(TH, method="closed-form")
-        s_rs = slip_operator(TH, method="residue-sum")
-        assert np.abs(s_cl.matrix - s_rs.matrix).max() < 1e-6
-        assert s_cl.construction == "closed-form"
-        assert len(s_cl.residues) == 4
+        # the closed form against the contour residue sum in tests/oracles.py
+        s_rs, residues = residue_slip(TH)
+        assert np.abs(slip_operator(TH) - s_rs).max() < 1e-6
+        assert len(residues) == 4
 
     def test_trace_preserving(self):
         s = slip_operator(TH)
-        assert is_tp(s.matrix, 1e-9)
+        assert is_tp(s, 1e-9)
 
     def test_duality(self):
         pm = parity_superop(PARITY_OP)
-        s = slip_operator(TH).matrix
-        s_dual = slip_operator(TH.dual()).matrix
+        s = slip_operator(TH)
+        s_dual = slip_operator(TH.dual())
         assert np.abs(superadjoint(s) - pm @ s_dual @ pm).max() < 1e-8
 
     def test_far_detuned_slip_shrinks(self):
-        base = abs(np.abs(slip_operator(TH).matrix - identity_superop(2)).max())
-        far = abs(np.abs(slip_operator(ModelParams(20.0, 0.0, 0.25, 1.0)).matrix
+        base = abs(np.abs(slip_operator(TH) - identity_superop(2)).max())
+        far = abs(np.abs(slip_operator(ModelParams(20.0, 0.0, 0.25, 1.0))
                          - identity_superop(2)).max())
         assert far < 0.1 * base
 
     def test_hot_limit_identity(self):
-        s = slip_operator(HOT).matrix
+        s = slip_operator(HOT)
         assert np.abs(s - identity_superop(2)).max() < 1e-3
 
     def test_pole_collision_rejected(self):
@@ -299,8 +300,12 @@ class TestBreakdown:
 
 class TestHeisenbergStationary:
     def test_paths_agree_internally(self):
-        gh = heisenberg_stationary_generator(TH)
-        assert gh.shape == (4, 4)
+        # the duality construction against [S^-1 G_inf S]^sadj from tests/oracles.py
+        for th in (TH, HOT, ModelParams(0.5, 0.0, 1.0 / (3.0 * math.pi), 1.0)):
+            gh = heisenberg_stationary_generator(th)
+            assert gh.shape == (4, 4)
+            defect = np.abs(gh - heisenberg_via_slip(th)).max()
+            assert defect <= 1e-7 * max(1.0, abs(th.gamma))
 
     def test_eigenvalues_shifted_duals(self):
         # spectrum is {i gamma - g_dual_i(inf)} with the dual stationary
@@ -329,19 +334,27 @@ class TestHeisenbergStationary:
 
 
 class TestRegularizedSlip:
+    """The closed-form slip against the regularized transform in tests/oracles.py."""
+
     def test_matches_slip_below_threshold(self):
         th = ModelParams(0.5, 0.0, 1.0 / math.pi, 1.0)  # gamma = pi T
-        reg = regularized_slip_limit(th)
-        assert not reg.naive_limit_diverges
-        assert np.abs(reg.matrix - slip_operator(th).matrix).max() < 1e-5
+        matrix, diverges, _ = regularized_slip(th)
+        assert not diverges
+        assert np.abs(matrix - slip_operator(th)).max() < 1e-5
 
     def test_diverges_above_threshold_but_regularized_finite(self):
         th = ModelParams(0.5, 0.0, 1.0 / (3.0 * math.pi), 1.0)  # gamma = 3 pi T
-        reg = regularized_slip_limit(th)
-        assert reg.naive_limit_diverges
-        assert reg.naive_final_norm > 1e6
-        assert np.abs(reg.matrix - slip_operator(th).matrix).max() < 1e-5
+        matrix, diverges, final_norm = regularized_slip(th)
+        assert diverges
+        assert final_norm > 1e6
+        assert np.abs(matrix - slip_operator(th)).max() < 1e-5
+
+    @pytest.mark.parametrize("ratio", [1.0, 3.0])   # gamma / (pi T)
+    def test_probe_flag_is_the_dual_divergence_rule(self, ratio):
+        th = ModelParams(0.5, 0.0, 1.0 / (ratio * math.pi), 1.0)
+        _, diverges, _ = regularized_slip(th)
+        assert diverges == (divisibility_max("g_dual", th) == DIVERGES)
 
     def test_hot_limit_identity(self):
-        reg = regularized_slip_limit(HOT)
-        assert np.abs(reg.matrix - identity_superop(2)).max() < 1e-3
+        matrix, _, _ = regularized_slip(HOT)
+        assert np.abs(matrix - identity_superop(2)).max() < 1e-3
