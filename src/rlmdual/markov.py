@@ -21,7 +21,7 @@ from .liouville import (
     parity_superop,
     vectorize,
 )
-from .model import IDENTITY_OP, PARITY_OP, RlmProvider, mode_hat, mode_stack
+from .model import IDENTITY_OP, PARITY_OP, RlmProvider, _generator_eigenvalues, mode_hat, mode_stack
 from .scalars import ModelParams, PoleError, g_stationary, k_hat
 
 __all__ = [
@@ -80,12 +80,9 @@ def semigroup_propagator_hat(e, params: ModelParams) -> np.ndarray:
 
 def _reject_pole_collision(params: ModelParams) -> None:
     """Raise unless the stationary eigenvalues {0, -i G, +-eps - i G/2} are distinct."""
-    gam = params.gamma
-    eps = params.epsilon
-    vals = [0.0 + 0.0j, -1j * gam, eps - 0.5j * gam, -eps - 0.5j * gam]
     distinct: list[complex] = []
-    tol = 1e-9 * max(1.0, abs(gam), abs(eps))
-    for v in vals:
+    tol = 1e-9 * max(1.0, abs(params.gamma), abs(params.epsilon))
+    for v in _generator_eigenvalues(params):
         if any(abs(v - u) < tol for u in distinct):
             raise PoleCollisionError(
                 f"stationary eigenvalues collide near {v}; the slip operator "

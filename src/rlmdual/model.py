@@ -358,10 +358,8 @@ def pole_catalog(params: ModelParams, n_max: int = 2) -> PoleCatalog:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    gamma = params.gamma
-    eps = params.epsilon
-    isolated = (0.0 + 0.0j, -1j * gamma, eps - 0.5j * gamma, -eps - 0.5j * gamma)
-    ladder = tuple(w - 0.5j * gamma for w in k_hat_pole_ladder(params, n_max))
+    isolated = tuple(complex(v) for v in _generator_eigenvalues(params))
+    ladder = tuple(w - 0.5j * params.gamma for w in k_hat_pole_ladder(params, n_max))
     return PoleCatalog(isolated, ladder)
 
 

@@ -56,10 +56,6 @@ def __getattr__(name):
 class QuadratureError(RuntimeError):
     """An integral or long-time limit does not converge to the requested accuracy."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class PoleError(ValueError):
     """Evaluation requested exactly on (or too close to) a pole."""
@@ -375,23 +371,3 @@ def k_hat_pole_ladder(params: ModelParams, n_max: int) -> list[complex]:
         poles.append(complex(-delta, im))
     return poles
 
-
-# ---------------------------------------------------------------------------
-# fixed-order panel integration for matrix-valued integrands
-# ---------------------------------------------------------------------------
-
-def gauss_panels(f, a: float, b: float, width: float, order: int = 12,
-                 max_panels: int = 2000):
-    """Composite Gauss-Legendre integration of a (possibly matrix-valued) f.
-
-    Deterministic fixed-order rule on panels no wider than ``width``; accuracy
-    is set by the panel width against the integrand's oscillation scale.
-    """
-    if b <= a:
-        return 0.0
-    n = max(1, min(max_panels, int(math.ceil((b - a) / width))))
-    nodes, weights = _gauss_rule(order)
-    h = (b - a) / n
-    points = a + h * (np.arange(n)[:, None] + 0.5 * (nodes + 1.0))
-    return sum((0.5 * h * w) * np.asarray(f(x))
-               for x, w in zip(points.ravel(), np.tile(weights, n)))

@@ -1,19 +1,20 @@
-"""Second constructions of the slip, the resolvent and the pole catalog.
+"""Second constructions of the slip, the resolvent, the pole catalog and G_inf.
 
 The package builds each of these quantities one way, in closed form.  The
 functions here build them another way (contour residues, a regularized
-Laplace transform, growth on shrinking circles, the Dyson inverse and a
-similarity transform) so that the tests can compare the two.
+Laplace transform, growth on shrinking circles, the Dyson inverse, a
+similarity transform and time-domain quadrature of the memory kernel) so
+that the tests can compare the two.
 """
 
 import math
 
 import numpy as np
 
-from rlmdual.liouville import spectral_decompose, superadjoint, vectorize
+from rlmdual.liouville import dissipator, spectral_decompose, superadjoint, vectorize
 from rlmdual.markov import slip_operator, stationary_generator
-from rlmdual.model import RlmProvider, pole_catalog
-from rlmdual.scalars import ModelParams, g_tail
+from rlmdual.model import ANNIHILATOR, CREATOR, RlmProvider, pole_catalog
+from rlmdual.scalars import ModelParams, g_tail, weighted_kernel_grid
 
 
 def contour_residue(f, pole: complex, radius: float, n: int = 32) -> np.ndarray:
@@ -110,3 +111,41 @@ def heisenberg_via_slip(params: ModelParams) -> np.ndarray:
     """Stationary Heisenberg generator as the superadjoint of S^-1 G_inf S."""
     slip = slip_operator(params)
     return superadjoint(np.linalg.solve(slip, stationary_generator(params) @ slip))
+
+
+def kernel_mode_integral(params: ModelParams, lam: complex) -> complex:
+    """int_0^inf exp((i lam - gamma/2) t) k(t) dt by composite 24-point Gauss-Legendre.
+
+    The fused weight is weighted_kernel_grid with the real decay
+    -Im lam - gamma/2 times exp(i Re lam t), so no factor leaves double
+    range while the integral converges (net decay pi T + gamma/2 + Im lam > 0).
+    The panels end where the envelope exp(-rate t) has fallen to e^-40.
+    """
+    temp = params.temperature
+    rate = math.pi * temp + 0.5 * params.gamma + lam.imag
+    if rate <= 0:
+        raise ValueError(f"the integral diverges at lambda = {lam}")
+    width = min(1.0 / (math.pi * temp), 1.0 / rate,
+                math.pi / (abs(params.detuning) + abs(lam.real) + 1e-300))
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    t = width * (np.arange(math.ceil(40.0 / rate / width))[:, None] + 0.5 * (nodes + 1.0))
+    f = weighted_kernel_grid(t, params, -lam.imag - 0.5 * params.gamma) \
+        * np.exp(1j * lam.real * t)
+    return complex((f * (0.5 * width * weights)).sum())
+
+
+def fixed_point_by_quadrature(params: ModelParams) -> np.ndarray:
+    """K_delta + sum_i [int_0^inf K_s(t) exp(i lambda_i t) dt] |r_i><l_i| over the modes of G_inf.
+
+    K_s(t) = -i (gamma/2) exp(-gamma t/2) k(t) (D_+ - D_-), so each mode
+    contributes one :func:`kernel_mode_integral`.  Equals G_inf where the
+    memory-kernel fixed point G_inf = K_hat(G_inf) holds.
+    """
+    provider = RlmProvider(params)
+    diss_diff = dissipator(CREATOR) - dissipator(ANNIHILATOR)
+    out = provider.kernel_delta().astype(complex)
+    for mode in spectral_decompose(provider.generator_stationary()).modes:
+        scalar = -0.5j * params.gamma * kernel_mode_integral(params, complex(mode.value))
+        out = out + scalar * diss_diff @ np.outer(vectorize(mode.right),
+                                                  vectorize(mode.left).conj())
+    return out

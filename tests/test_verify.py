@@ -32,6 +32,8 @@ from rlmdual.verify import (
     run_tabulated_suite,
 )
 
+from oracles import fixed_point_by_quadrature, kernel_mode_integral
+
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
 FAM = rlm_family()
@@ -253,6 +255,29 @@ class TestFixedPoints:
         rep = check_fixed_point_stationary(FAM, TH, 1e-6)
         assert rep.passed
         assert rep.witness["sampling_path"] < 1e-9
+        # the time-domain quadrature of the kernel (tests/oracles.py)
+        g_inf = FAM.generator_stationary(TH)
+        assert np.abs(fixed_point_by_quadrature(TH) - g_inf).max() < 1e-6
+
+    @pytest.mark.parametrize("th", [ModelParams(0.5, 0.0, 0.25, 1.47),
+                                    ModelParams(0.5, 0.0, 0.25, 1.5),
+                                    ModelParams(0.5, 0.0, 0.25, 1.56),
+                                    ModelParams(0.5, 0.0, 0.16, -1.0)])
+    def test_stationary_near_the_convergence_edge(self, th):
+        # gamma just below 2 pi T, and a dual point just above -2 pi T: the
+        # slowest mode's integrand decays at only 2.7e-3 to 5.0e-2 per unit time
+        mpmath = pytest.importorskip("mpmath")
+        rep = check_fixed_point_stationary(FAM, th, 1e-6)
+        assert rep.passed, rep.witness
+        g_inf = FAM.generator_stationary(th)
+        assert np.abs(fixed_point_by_quadrature(th) - g_inf).max() < 1e-6
+        # the exponential series of 2T/sinh(pi T t), term by term in closed form
+        delta, temp = th.detuning, th.temperature
+        for lam in (0.0, -1j * th.gamma):   # the stationary and the parity mode
+            exact = 4 * temp * mpmath.nsum(
+                lambda n: delta / (((2 * n + 1) * mpmath.pi * temp + th.gamma / 2
+                                    - 1j * lam) ** 2 + delta ** 2), [0, mpmath.inf])
+            assert abs(kernel_mode_integral(th, lam) - complex(exact)) < 1e-10
 
     def test_zero_frequency_shares_stationary_eigenvector(self):
         pr = RlmProvider(TH)
