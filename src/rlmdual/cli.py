@@ -215,8 +215,12 @@ def cmd_duality_check(args) -> int:
             family = _apply_perturb(family, args.perturb)
         params_list = DEFAULT_PARAMS
         if args.params:
-            params_list = [ModelParams(*(float(x) for x in spec.split(",")))
-                           for spec in args.params]
+            params_list = []
+            for spec in args.params:
+                values = [float(x) for x in spec.split(",")]
+                if len(values) != 4:
+                    raise ValueError(f"--params expects eps,mu,T,gamma, got {spec!r}")
+                params_list.append(ModelParams(*values))
         times = DEFAULT_TIMES
         if args.times:
             times = tuple(float(x) for x in args.times.split(","))

@@ -279,45 +279,25 @@ def spectral_decompose(s: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralD
 
     Eigenvalues are sorted by descending real part then ascending imaginary
     part; right eigenvectors are unit Hilbert-Schmidt norm with their
-    largest-magnitude component made real positive, and left partners scaled
-    so that <left_i|right_j> = delta_ij.  Raises
-    :class:`DefectiveMatrixError` when a Jordan block is detected (left/right
-    overlap below 1e-12 before scaling).
+    largest-magnitude component made real positive.  Each <left_i| is row i
+    of inv(V_R), so <left_i|right_j> = delta_ij holds inside degenerate
+    groups as well.  Raises :class:`DefectiveMatrixError` when
+    the condition number of V_R is not below 1e12 (a Jordan block or a
+    near-defective cluster).
     """
     s = np.asarray(s, dtype=complex)
     d2 = s.shape[0]
     d = int(round(np.sqrt(d2)))
     w, vr = np.linalg.eig(s)
-    wl, ul = np.linalg.eig(s.conj().T)
-
     order = _sort_order(w)
     w = w[order]
     vr = vr[:, order]
-    # align the left problem (eigenvalues conj(w)) with the rights by optimal
-    # assignment; a plain sort is unstable under rounding of near-ties
-    from scipy.optimize import linear_sum_assignment
-    wl_target = wl.conj()
-    cost = np.abs(w[:, None] - wl_target[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    ul = ul[:, cols]
-    wl_target = wl_target[cols]
-    scale = max(1.0, float(np.abs(w).max()))
-    if np.abs(w - wl_target).max() > 1e-6 * scale:
-        raise DefectiveMatrixError("left/right eigenvalue sets do not match")
-
-    tol = degeneracy_tol * scale
-    groups = _group_close(w, tol)
-
-    lefts = np.empty_like(vr)
-    for grp in groups:
-        idx = np.array(grp)
-        overlap = ul[:, idx].conj().T @ vr[:, idx]
-        smin = np.linalg.svd(overlap, compute_uv=False)[-1]
-        if smin < 1e-12:
-            raise DefectiveMatrixError(
-                f"defective eigenvalue cluster near {w[idx[0]]:.6g} "
-                f"(binormalization overlap {smin:.2e})")
-        lefts[:, idx] = ul[:, idx] @ np.linalg.inv(overlap).conj().T
+    cond = np.linalg.cond(vr)
+    if not cond < 1e12:
+        raise DefectiveMatrixError(
+            f"eigenvector matrix is near singular (condition number {cond:.2e})")
+    lefts = np.linalg.inv(vr).conj().T
+    groups = _group_close(w, degeneracy_tol * max(1.0, float(np.abs(w).max())))
 
     modes = []
     for i in range(d2):
@@ -409,13 +389,19 @@ def _parity_sector_bases(parity_op: np.ndarray):
     return even, odd
 
 
-def _sector_eigh(choi: np.ndarray, basis: np.ndarray):
-    """Eigen-pairs of choi restricted to the span of basis columns."""
-    if basis.shape[1] == 0:
-        return np.empty(0), np.empty((choi.shape[0], 0), dtype=complex)
-    block = basis.conj().T @ choi @ basis
-    w, v = np.linalg.eigh(0.5 * (block + block.conj().T))
-    return w, basis @ v
+def _sector_terms(choi: np.ndarray, sectors, tol: float):
+    """Sorted (value, operator, parity) of choi's eigen-pairs in each parity
+    sector (basis, parity) with |value| above tol; operators phase fixed."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    terms = []
+    for basis, par in sectors:
+        block = basis.conj().T @ choi @ basis
+        w, v = np.linalg.eigh(0.5 * (block + block.conj().T))
+        vecs = basis @ v
+        terms += [(float(x), _phase_fix(bipartite_to_operator(vecs[:, i], d)), par)
+                  for i, x in enumerate(w) if abs(x) > tol]
+    terms.sort(key=lambda t: (-t[0], -t[2]))
+    return terms
 
 
 def _phase_fix(m: np.ndarray) -> np.ndarray:
@@ -448,18 +434,9 @@ def canonical_kraus(s: np.ndarray, parity_op: np.ndarray,
     if not is_parity_covariant(s, parity_op, parity_tol * scale):
         raise ParityCovarianceError("map does not commute with the parity sandwich")
 
-    d = np.asarray(parity_op).shape[0]
     even, odd = _parity_sector_bases(parity_op)
-    terms = []
-    for basis, par in ((even, 1), (odd, -1)):
-        w, vecs = _sector_eigh(c, basis)
-        for i, m in enumerate(w):
-            if abs(m) <= coeff_tol * scale:
-                continue
-            op = _phase_fix(bipartite_to_operator(vecs[:, i], d))
-            terms.append(KrausTerm(float(m), op, par))
-    terms.sort(key=lambda t: (-t.coefficient, -t.parity))
-    return KrausSet(tuple(terms))
+    terms = _sector_terms(c, ((even, 1), (odd, -1)), coeff_tol * scale)
+    return KrausSet(tuple(KrausTerm(*t) for t in terms))
 
 
 def _recover_b(choi: np.ndarray, dim: int) -> np.ndarray:
@@ -512,15 +489,7 @@ def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, heisenberg: bool,
     keep = np.abs(np.diag(r)) > 1e-9
     even_c = q[:, keep]
 
-    terms = []
-    for basis, par in ((even_c, 1), (odd, -1)):
-        w, vecs = _sector_eigh(c, basis)
-        for i, j in enumerate(w):
-            if abs(j) <= rate_tol * scale:
-                continue
-            op = _phase_fix(bipartite_to_operator(vecs[:, i], d))
-            terms.append(JumpTerm(float(j), op, par))
-    terms.sort(key=lambda t: (-t.rate, -t.parity))
+    terms = [JumpTerm(*t) for t in _sector_terms(c, ((even_c, 1), (odd, -1)), rate_tol * scale)]
 
     b = _recover_b(c, d)
     h = 0.5j * (b - b.conj().T)  # -Im B; the Heisenberg variant wants +Im B

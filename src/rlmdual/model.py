@@ -206,15 +206,13 @@ class RlmProvider:
     def propagator_spectral(self, t: float) -> SpectralDecomposition:
         """Closed-form eigenmodes of the propagator."""
         values = np.exp(-1j * t * _generator_eigenvalues(self.params))
-        return _closed_modes(values, self.p(t) if t > 0 else 0.0)
+        return _closed_modes(values, self.p(t))
 
     def kraus_set(self, t: float) -> KrausSet:
         """Closed-form canonical measurement operators and coefficients."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
         gamma = self.params.gamma
         eps = self.params.epsilon
-        p = self.p(t) if t > 0 else 0.0
+        p = self.p(t)
         gt = gamma * t
         sh = math.sinh(0.5 * gt)
         ch = math.cosh(0.5 * gt)
@@ -236,13 +234,11 @@ class RlmProvider:
 
     def generator(self, t: float) -> np.ndarray:
         """Time-local generator G(t) of d rho/dt = -i G(t) rho."""
-        g = self.g(t) if t > 0 else 0.0
-        return self._generator_from_g(g)
+        return self._generator_from_g(self.g(t))
 
     def generator_gflip(self, t: float) -> np.ndarray:
         """G(t) with the sign of g(t) flipped (model-specific duality hook)."""
-        g = self.g(t) if t > 0 else 0.0
-        return self._generator_from_g(-g)
+        return self._generator_from_g(-self.g(t))
 
     def generator_stationary(self) -> np.ndarray:
         return self._generator_from_g(self.g_infinity())
@@ -252,7 +248,7 @@ class RlmProvider:
         return self._liouvillian + 0.5j * gamma * (_DISS_SUM - g * _DISS_DIFF)
 
     def generator_spectral(self, t: float) -> SpectralDecomposition:
-        return _closed_modes(_generator_eigenvalues(self.params), self.g(t) if t > 0 else 0.0)
+        return _closed_modes(_generator_eigenvalues(self.params), self.g(t))
 
     # -- time-nonlocal kernel -----------------------------------------------
 
@@ -285,7 +281,7 @@ class RlmProvider:
 
     def jump_set(self, t: float) -> JumpSet:
         gamma = self.params.gamma
-        g = self.g(t) if t > 0 else 0.0
+        g = self.g(t)
         terms = tuple(
             JumpTerm(0.5 * gamma * (1.0 - eta * g), d_eta(eta), -1)
             for eta in (1, -1)
@@ -295,7 +291,7 @@ class RlmProvider:
     def heisenberg_jump_rates(self, t: float) -> tuple[float, float]:
         """(j_+^H, j_-^H) = (Gamma/2)(1 -+ g_dual(t))."""
         gamma = self.params.gamma
-        gd = self.g_dual(t) if t > 0 else 0.0
+        gd = self.g_dual(t)
         return 0.5 * gamma * (1.0 - gd), 0.5 * gamma * (1.0 + gd)
 
     # -- observables ----------------------------------------------------------

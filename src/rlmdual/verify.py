@@ -812,23 +812,34 @@ def family_from_json(doc) -> TabulatedFamily:
         doc = json.loads(doc)
     if doc.get("basis_convention", lv.BASIS_CONVENTION) != lv.BASIS_CONVENTION:
         raise ValueError("unsupported basis convention")
-    dim = int(doc["dim"])
-    parity = np.diag([complex(x) for x in doc["parity_diag"]])
     index: dict = {}
     thetas = []
     times = set()
     freqs = set()
-    for s in doc["samples"]:
-        theta = _theta_from_json(s["theta"])
-        arg = s["arg"]
-        arg = complex(arg[0], arg[1]) if isinstance(arg, list) else float(arg)
-        index[(s["kind"], _arg_key(arg), theta)] = lv.matrix_from_json({"entries": s["matrix"]})
-        if theta not in thetas:
-            thetas.append(theta)
-        if s["kind"] in ("propagator", "generator"):
-            times.add(float(np.real(arg)))
-        elif s["kind"] == "kernel_hat":
-            freqs.add(complex(arg))
+    try:
+        dim = int(doc["dim"])
+        parity = np.diag([complex(x) for x in doc["parity_diag"]])
+        if parity.shape != (dim, dim):
+            raise ValueError(f"parity_diag has {len(parity)} entries for dim {dim}")
+        for s in doc["samples"]:
+            theta = _theta_from_json(s["theta"])
+            arg = s["arg"]
+            arg = complex(arg[0], arg[1]) if isinstance(arg, list) else float(arg)
+            matrix = lv.matrix_from_json({"entries": s["matrix"]})
+            if matrix.shape != (dim * dim, dim * dim):
+                raise ValueError(f"{s['kind']} sample at {arg} for {theta} is not "
+                                 f"{dim * dim}x{dim * dim}")
+            index[(s["kind"], _arg_key(arg), theta)] = matrix
+            if theta not in thetas:
+                thetas.append(theta)
+            if s["kind"] in ("propagator", "generator"):
+                times.add(float(np.real(arg)))
+            elif s["kind"] == "kernel_hat":
+                freqs.add(complex(arg))
+    except KeyError as exc:
+        raise ValueError(f"family JSON lacks the key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed family JSON: {exc}") from None
 
     def lookup(kind):
         def f(arg, theta):

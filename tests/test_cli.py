@@ -323,6 +323,33 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("params", ["1,2,3", "1,2,3,4,5"])
+    def test_wrong_param_count_exits_two(self, params, capsys):
+        assert run(["duality-check", "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert params in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("parity_diag"), "'parity_diag'"),
+        (lambda doc: doc.update(parity_diag=[1.0]), "parity_diag has 1 entries"),
+        (lambda doc: doc["samples"][0].pop("theta"), "'theta'"),
+        (lambda doc: doc["samples"][0].update(matrix=doc["samples"][0]["matrix"][:2]),
+         "is not 4x4"),
+        (lambda doc: doc["samples"][0].update(matrix=[[1.0]]), "malformed family JSON"),
+    ], ids=["no_parity", "short_parity", "no_theta", "short_matrix", "scalar_entries"])
+    def test_malformed_family_exits_two(self, edit, message, tmp_path, capsys):
+        from rlmdual.verify import family_to_json, rlm_family
+        from rlmdual.scalars import ModelParams
+        doc = family_to_json(rlm_family(), [ModelParams(0.5, 0.0, 0.25, 1.0)], (1.0,), (0.6j,))
+        edit(doc)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        assert run(["duality-check", "--family", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_negative_leading_param_accepted(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["duality-check", "--params", "-0.5,0,0.25,1", "--out", str(a)]) == 0

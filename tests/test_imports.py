@@ -1,5 +1,7 @@
-"""Start-up cost: importing the CLI loads numpy and scipy.special, not the rest of scipy."""
+"""Start-up cost: importing the CLI loads numpy and scipy.special, not the rest of scipy;
+a duality check adds no scipy.optimize."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,15 +17,28 @@ import rlmdual.scalars
 DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.integrate")
 
 
-def test_cli_import_leaves_deferred_scipy_unloaded():
-    code = ("import sys, rlmdual.cli; "
-            f"print(','.join(m for m in {DEFERRED!r} if m in sys.modules))")
+def _fresh_process(code: str) -> str:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(rlmdual.scalars.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_deferred_scipy_unloaded():
+    assert _fresh_process("import sys, rlmdual.cli; "
+                          f"print(','.join(m for m in {DEFERRED!r} if m in sys.modules))") == ""
+
+
+def test_duality_check_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize is for the CP-onset root and the breakdown refinement only
+    out = tmp_path / "report.json"
+    code = ("import sys; from rlmdual.cli import main; "
+            f"rc = main(['duality-check', '--out', {str(out)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    assert _fresh_process(code) == "0 False"
+    assert len(json.loads(out.read_text())) == 60
 
 
 def test_lazy_names_are_scipys():

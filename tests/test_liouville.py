@@ -244,6 +244,13 @@ class TestChoiDualityTransform:
             assert np.abs(lhs - rhs).max() < 1e-13
 
 
+def binormal_defect(dec):
+    """max |<left_i|right_j> - delta_ij| over all mode pairs."""
+    lefts = np.array([vectorize(m.left) for m in dec.modes])
+    rights = np.array([vectorize(m.right) for m in dec.modes])
+    return np.abs(lefts.conj() @ rights.T - np.eye(len(dec.modes))).max()
+
+
 class TestSpectralDecompose:
     def test_reconstruction_random(self):
         for _ in range(8):
@@ -283,6 +290,38 @@ class TestSpectralDecompose:
         bad[0, 1] = 1.0
         with pytest.raises(DefectiveMatrixError):
             spectral_decompose(bad)
+
+    @staticmethod
+    def jordan(coupling):
+        m = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
+        m[0, 1] = coupling
+        return m
+
+    @pytest.mark.parametrize("coupling", [1.0, 1e-3])
+    def test_jordan_coupling_rejected(self, coupling):
+        # cond(V_R) is 9.0e15 and 9.0e12: the pair of right eigenvectors is
+        # too close to parallel for inv(V_R) to give usable lefts
+        with pytest.raises(DefectiveMatrixError, match="condition number"):
+            spectral_decompose(self.jordan(coupling))
+
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-9, 1e-12])
+    def test_jordan_coupling_below_resolution_accepted(self, coupling):
+        # the eigensolver sees a doubly degenerate eigenvalue; the decomposition
+        # is binormal and misses only the coupling itself
+        m = self.jordan(coupling)
+        dec = spectral_decompose(m)
+        assert dec.degeneracy_groups == ((0,), (1,), (2, 3))
+        assert np.abs(dec.to_superoperator() - m).max() <= 2 * coupling
+        assert binormal_defect(dec) < 1e-9
+
+    def test_non_normal_degenerate_pairs(self):
+        for _ in range(5):
+            v = rand_superop()
+            s = v @ np.diag([1.0, 1.0, 2.0 + 1j, 2.0 + 1j]) @ np.linalg.inv(v)
+            dec = spectral_decompose(s)
+            assert dec.degeneracy_groups == ((0, 1), (2, 3))
+            assert np.abs(dec.to_superoperator() - s).max() < 1e-9
+            assert binormal_defect(dec) < 1e-9
 
 
 def random_parity_covariant_cp_map():

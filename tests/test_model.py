@@ -154,6 +154,14 @@ class TestPropagator:
         assert np.abs(resid).max() < 1e-5
 
 
+@pytest.mark.parametrize("method", ["generator", "generator_gflip", "jump_set",
+                                    "heisenberg_jump_rates", "propagator_spectral",
+                                    "generator_spectral", "propagator", "kraus_set"])
+def test_negative_time_rejected(method):
+    with pytest.raises(ValueError, match="nonnegative"):
+        getattr(RlmProvider(TH), method)(-1.0)
+
+
 class TestPropagatorStack:
     """Closed-form mode sums against scipy's expm of the same exponent."""
 
@@ -287,6 +295,10 @@ class TestGenerator:
                             - t.parity * t.operator @ t.operator.conj().T)
                   for t in js.terms)
         assert np.abs(acc - TH.gamma * np.eye(2)).max() < 1e-9
+
+    def test_initial_generator_is_kernel_delta(self):
+        pr = RlmProvider(TH)
+        assert np.array_equal(pr.generator(0.0), pr.kernel_delta())
 
     def test_gflip_relation(self):
         # G^sadj = i gamma 1 + P G|_{g -> -g} P (model-specific)
