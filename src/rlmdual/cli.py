@@ -114,13 +114,18 @@ def cmd_dynamics(args) -> int:
     rho0 = _parse_rho0(args.rho0)
     t_lo, t_hi = _parse_range(args.times)
     ts = np.linspace(t_lo, t_hi, args.points)
+    if np.any(ts < 0):
+        raise ValueError("time must be nonnegative")
+    h = 1e-4 / abs(params.gamma)
+    t_minus = np.maximum(ts - h, 0.0)
+    step = ts + h - t_minus
+    if not step.all():   # t +- h round to t
+        raise ValueError(f"the difference step {h:g} vanishes in rounding at "
+                         f"t={_fmt(ts[step == 0][0])}")
     provider = RlmProvider(params)
     v0 = vectorize(rho0)
     vn = vectorize(NUMBER_OP).conj()
-    h = 1e-4 / abs(params.gamma)
-    t_minus = np.maximum(ts - h, 0.0)
-    fd = (provider.occupation(ts + h, rho0)
-          - provider.occupation(t_minus, rho0)) / (ts + h - t_minus)
+    fd = (provider.occupation(ts + h, rho0) - provider.occupation(t_minus, rho0)) / step
     semigroup = semigroup_propagator(ts, params)
     slip = semigroup @ slip_operator(params)   # slip_propagator on the same stack
     columns = [

@@ -113,8 +113,8 @@ def lmul_rmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def superadjoint(s: np.ndarray) -> np.ndarray:
-    """Adjoint w.r.t. the Hilbert-Schmidt product (conjugate transpose)."""
-    return np.asarray(s).conj().T.copy()
+    """Adjoint w.r.t. the Hilbert-Schmidt product: conjugate transpose of the last two axes."""
+    return np.swapaxes(s, -1, -2).conj()
 
 
 def identity_superop(dim: int) -> np.ndarray:

@@ -35,8 +35,8 @@ from .scalars import (
     g_stationary,
     k_hat,
     k_hat_pole_ladder,
-    k_of_t,
     p_from_g,
+    weighted_kernel_grid,
 )
 
 __all__ = [
@@ -156,10 +156,12 @@ def mode_hat(e, params: ModelParams, s) -> np.ndarray:
 class RlmProvider:
     """All representations of the level dynamics at one parameter point.
 
-    The scalars g, g_dual and p are memoized per time (or per time array), and
-    p is built from the memoized g, so repeated superoperator
-    requests at the same times are cheap.  Memoized arrays are read-only.  The
-    memo fills are idempotent, which keeps concurrent use safe.
+    Every matrix-valued method takes a float, giving a 4x4 matrix, or a 1-D
+    array, giving an (N,4,4) stack.  The scalars g, g_dual and p are memoized
+    per time (or per time array), and p is built from the memoized g, so
+    repeated superoperator requests at the same times are cheap.  Memoized
+    arrays are read-only.  The memo fills are idempotent, which keeps
+    concurrent use safe.
     """
 
     def __init__(self, params: ModelParams):
@@ -179,9 +181,6 @@ class RlmProvider:
             self._memo[key] = value
         return self._memo[key]
 
-    def k(self, t: float) -> float:
-        return k_of_t(t, self.params)
-
     def g(self, t):
         return self._memoized("g", t, lambda: g_of_t(t, self.params))
 
@@ -197,10 +196,7 @@ class RlmProvider:
     # -- propagator ---------------------------------------------------------
 
     def propagator(self, t) -> np.ndarray:
-        """exp(-i[H,.]t + (Gamma t/2) sum_eta [1 - eta p(t)] D_eta) from its modes.
-
-        A 1-D array of times gives an (N,4,4) stack.
-        """
+        """exp(-i[H,.]t + (Gamma t/2) sum_eta [1 - eta p(t)] D_eta) from its modes."""
         return mode_stack(t, self.params, self.p(t))
 
     def propagator_spectral(self, t: float) -> SpectralDecomposition:
@@ -232,20 +228,20 @@ class RlmProvider:
 
     # -- time-local generator -----------------------------------------------
 
-    def generator(self, t: float) -> np.ndarray:
+    def generator(self, t) -> np.ndarray:
         """Time-local generator G(t) of d rho/dt = -i G(t) rho."""
         return self._generator_from_g(self.g(t))
 
-    def generator_gflip(self, t: float) -> np.ndarray:
+    def generator_gflip(self, t) -> np.ndarray:
         """G(t) with the sign of g(t) flipped (model-specific duality hook)."""
         return self._generator_from_g(-self.g(t))
 
     def generator_stationary(self) -> np.ndarray:
         return self._generator_from_g(self.g_infinity())
 
-    def _generator_from_g(self, g: float) -> np.ndarray:
+    def _generator_from_g(self, g) -> np.ndarray:
         gamma = self.params.gamma
-        return self._liouvillian + 0.5j * gamma * (_DISS_SUM - g * _DISS_DIFF)
+        return self._liouvillian + 0.5j * gamma * (_DISS_SUM - np.multiply.outer(g, _DISS_DIFF))
 
     def generator_spectral(self, t: float) -> SpectralDecomposition:
         return _closed_modes(_generator_eigenvalues(self.params), self.g(t))
@@ -256,25 +252,21 @@ class RlmProvider:
         """Singular part K_delta of K(t) = K_delta delta(t) + K_s(t)."""
         return self._liouvillian + 0.5j * self.params.gamma * _DISS_SUM
 
-    def kernel_smooth(self, t: float) -> np.ndarray:
-        """Smooth part K_s(t) = -i (Gamma/2) exp(-Gamma t/2) k(t) (D_+ - D_-)."""
-        gamma = self.params.gamma
-        w = math.exp(-0.5 * gamma * t) * self.k(t)
-        return -0.5j * gamma * w * _DISS_DIFF
+    def kernel_smooth(self, t) -> np.ndarray:
+        """Smooth part K_s(t) = -i (Gamma/2) exp(-Gamma t/2) k(t) (D_+ - D_-), fused."""
+        if np.any(np.asarray(t) < 0):
+            raise ValueError("time must be nonnegative")
+        w = weighted_kernel_grid(t, self.params, -0.5 * self.params.gamma)
+        return np.multiply.outer(-0.5j * self.params.gamma * w, _DISS_DIFF)
 
-    def memory_kernel_hat(self, e: complex) -> np.ndarray:
+    def memory_kernel_hat(self, e) -> np.ndarray:
         """Laplace transform of the memory kernel, continued in e."""
-        gamma = self.params.gamma
-        kh = k_hat(e + 0.5j * gamma, self.params)
-        return self._liouvillian + 0.5j * gamma * (_DISS_SUM - kh * _DISS_DIFF)
+        return self._generator_from_g(k_hat(e + 0.5j * self.params.gamma, self.params))
 
     # -- frequency-domain propagator ------------------------------------------
 
     def propagator_hat(self, e) -> np.ndarray:
-        """Closed-form resolvent: :func:`mode_hat` with s = k_hat(E + i gamma/2).
-
-        An array of frequencies gives a stack.
-        """
+        """Closed-form resolvent: :func:`mode_hat` with s = k_hat(E + i gamma/2)."""
         return mode_hat(e, self.params, k_hat(e + 0.5j * self.params.gamma, self.params))
 
     # -- jump layer -----------------------------------------------------------

@@ -69,10 +69,12 @@ class MissingCallbackError(ValueError):
 class SuperOpFamily:
     """Callbacks evaluating one family of superoperators at (t or E, params).
 
-    Any subset may be provided; checks raise :class:`MissingCallbackError`
-    when a required map is absent.  All maps must be parity covariant with
-    respect to ``parity_op`` and share the coupling lump sum ``gamma_sum``
-    (for params scaled to gamma = G, ``gamma_sum(params)`` returns G).
+    A float t or E gives a matrix, a 1-D array a stack of them, tabulated
+    families included.  Any subset may be provided; checks raise
+    :class:`MissingCallbackError` when a required map is absent.  All maps must
+    be parity covariant with respect to ``parity_op`` and share the coupling
+    lump sum ``gamma_sum`` (for params scaled to gamma = G,
+    ``gamma_sum(params)`` returns G).
     """
 
     dim: int
@@ -138,6 +140,11 @@ def _report(relation_id, params, points, residual, tol, witness=None) -> Residua
 
 def _maxabs(m) -> float:
     return float(np.abs(m).max())
+
+
+def _residuals(a, b) -> list[float]:
+    """max |a - b| per sample of two (N, n, n) stacks."""
+    return np.abs(a - b).max(axis=(-2, -1)).tolist()
 
 
 def _frame(family: SuperOpFamily, params: ModelParams):
@@ -209,19 +216,16 @@ def check_propagator_duality(family: SuperOpFamily, params: ModelParams,
     """
     family.require("propagator")
     dual, gam, pmat, _ = _frame(family, params)
-    time_res = []
-    for t in times:
-        lhs = superadjoint(family.propagator(t, params))
-        rhs = math.exp(-gam * t) * pmat @ family.propagator(t, dual) @ pmat
-        time_res.append(_maxabs(lhs - rhs))
+    ts = np.asarray(times, dtype=float)
+    time_res = _residuals(superadjoint(family.propagator(ts, params)),
+                          np.exp(-gam * ts)[:, None, None] * pmat
+                          @ family.propagator(ts, dual) @ pmat)
     witness = {"time": time_res}
     points = list(times)
     if freqs and family.propagator_hat is not None:
-        freq_res = []
-        for e in freqs:
-            lhs = superadjoint(family.propagator_hat(e, params))
-            rhs = pmat @ family.propagator_hat(1j * gam - np.conj(e), dual) @ pmat
-            freq_res.append(_maxabs(lhs - rhs))
+        es = np.asarray(freqs, dtype=complex)
+        freq_res = _residuals(superadjoint(family.propagator_hat(es, params)),
+                              pmat @ family.propagator_hat(1j * gam - es.conj(), dual) @ pmat)
         witness["frequency"] = freq_res
         points = points + list(freqs)
     resid = max(time_res + witness.get("frequency", []))
@@ -321,22 +325,20 @@ def check_kernel_duality_frequency(family: SuperOpFamily, params: ModelParams,
     """
     family.require("kernel_hat")
     dual, gam, pmat, ident = _frame(family, params)
-    freq_res = []
-    for w in freqs:
-        lhs = superadjoint(family.kernel_hat(w, params))
-        rhs = 1j * gam * ident - pmat @ family.kernel_hat(1j * gam - np.conj(w), dual) @ pmat
-        freq_res.append(_maxabs(lhs - rhs))
+    ws = np.asarray(freqs, dtype=complex)
+    freq_res = _residuals(superadjoint(family.kernel_hat(ws, params)),
+                          1j * gam * ident
+                          - pmat @ family.kernel_hat(1j * gam - ws.conj(), dual) @ pmat)
     witness = {"frequency": freq_res}
     points = list(freqs)
     if times and family.kernel_delta is not None and family.kernel_smooth is not None:
         delta_res = _maxabs(superadjoint(family.kernel_delta(params))
                             - 1j * gam * ident
                             + pmat @ family.kernel_delta(dual) @ pmat)
-        smooth_res = []
-        for t in times:
-            lhs = superadjoint(family.kernel_smooth(t, params))
-            rhs = -math.exp(-gam * t) * pmat @ family.kernel_smooth(t, dual) @ pmat
-            smooth_res.append(_maxabs(lhs - rhs))
+        ts = np.asarray(times, dtype=float)
+        smooth_res = _residuals(superadjoint(family.kernel_smooth(ts, params)),
+                                -np.exp(-gam * ts)[:, None, None] * pmat
+                                @ family.kernel_smooth(ts, dual) @ pmat)
         witness["delta_part"] = delta_res
         witness["smooth"] = smooth_res
         points = points + list(times)
@@ -350,16 +352,15 @@ def check_generator_duality(family: SuperOpFamily, params: ModelParams,
     """[Pi^-1 G Pi]^sadj against iG*1 - P G_dual P at each sampled time."""
     family.require("propagator", "generator")
     dual, gam, pmat, ident = _frame(family, params)
-    res = []
-    for t in times:
-        pi = family.propagator(t, params)
-        cond = np.linalg.cond(pi)
-        if cond > cond_limit:
-            raise np.linalg.LinAlgError(
-                f"propagator inversion ill-conditioned at t={t} (cond {cond:.2e})")
-        heis = superadjoint(np.linalg.solve(pi, family.generator(t, params) @ pi))
-        rhs = 1j * gam * ident - pmat @ family.generator(t, dual) @ pmat
-        res.append(_maxabs(heis - rhs))
+    ts = np.asarray(times, dtype=float)
+    pi = family.propagator(ts, params)
+    cond = np.linalg.cond(pi)
+    bad = np.flatnonzero(~(cond < cond_limit))   # a NaN condition number is bad too
+    if bad.size:
+        raise np.linalg.LinAlgError(f"propagator inversion ill-conditioned at "
+                                    f"t={ts[bad[0]]} (cond {cond[bad[0]]:.2e})")
+    res = _residuals(superadjoint(np.linalg.solve(pi, family.generator(ts, params) @ pi)),
+                     1j * gam * ident - pmat @ family.generator(ts, dual) @ pmat)
     return _report("generator_duality", params, list(times), max(res), tol,
                    {"time": res})
 
@@ -369,11 +370,9 @@ def check_generator_gflip(family: SuperOpFamily, params: ModelParams,
     """Model-specific relation G^sadj = iG*1 + P G|_{g -> -g} P."""
     family.require("generator", "generator_gflip")
     _, gam, pmat, ident = _frame(family, params)
-    res = []
-    for t in times:
-        lhs = superadjoint(family.generator(t, params))
-        rhs = 1j * gam * ident + pmat @ family.generator_gflip(t, params) @ pmat
-        res.append(_maxabs(lhs - rhs))
+    ts = np.asarray(times, dtype=float)
+    res = _residuals(superadjoint(family.generator(ts, params)),
+                     1j * gam * ident + pmat @ family.generator_gflip(ts, params) @ pmat)
     return _report("generator_duality_gflip", params, list(times), max(res), tol,
                    {"time": res})
 
@@ -606,15 +605,13 @@ def _functional_residual(family, params, t, n, heisenberg):
     mids = 0.5 * (grid[:-1] + grid[1:])
     # ordered product with later times rightmost; U[j] approximates the
     # ordered exponential from grid[j] to t
-    u = [None] * (n + 1)
+    u = np.empty((n + 1,) + ident.shape, dtype=complex)
     u[n] = ident
     for j in range(n - 1, -1, -1):
         u[j] = expm(sign * 1j * h * gen(mids[j])) @ u[j + 1]
-    integrand = [k_smooth(t - s) @ u[j] for j, s in enumerate(grid)]
-    acc = 0.5 * (integrand[0] + integrand[-1])
-    for j in range(1, n):
-        acc = acc + integrand[j]
-    rhs = k_delta + h * acc
+    integrand = k_smooth(t - grid) @ u
+    integrand[0] = 0.5 * (integrand[0] + integrand[-1])   # trapezoid end weights
+    rhs = k_delta + h * integrand[:-1].sum(axis=0)
     return _maxabs(gen(t) - rhs)
 
 
@@ -842,12 +839,14 @@ def family_from_json(doc) -> TabulatedFamily:
         raise ValueError(f"malformed family JSON: {exc}") from None
 
     def lookup(kind):
-        def f(arg, theta):
-            key = (kind, _arg_key(arg), theta)
-            if key not in index:
-                raise MissingCallbackError(
-                    f"tabulated family has no {kind} sample at {arg} for {theta}")
-            return index[key]
+        def f(arg, theta):   # a float gives a matrix, a 1-D array a stack
+            mats = []
+            for a in np.ravel(arg).tolist():
+                if (kind, _arg_key(a), theta) not in index:
+                    raise MissingCallbackError(
+                        f"tabulated family has no {kind} sample at {a} for {theta}")
+                mats.append(index[kind, _arg_key(a), theta])
+            return np.reshape(mats, np.shape(arg) + (dim * dim, dim * dim))
         return f
 
     kinds = {s["kind"] for s in doc["samples"]}

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rlmdual
 from rlmdual.cli import main
 
 
@@ -310,6 +314,36 @@ class TestErrors:
 
     def test_bad_rho0_exits_two(self):
         assert run(["dynamics", "--rho0", "not json"]) == 2
+
+    @pytest.mark.parametrize("times, points, message", [
+        ("1e13,1e13", "1", "vanishes in rounding at t=10000000000000"),
+        ("0,1e308", "3", "vanishes in rounding at t=5.0000000000000001e+307"),
+        ("-0.0001,1", "3", "time must be nonnegative"),
+    ], ids=["t=1e13", "t_max=1e308", "t_min=-h"])
+    def test_bad_time_window_exits_two(self, times, points, message, capsys):
+        # where t +- 1e-4/|gamma| rounds to t the central difference would be 0/0, and a
+        # negative time is out of domain; the window is rejected before anything is
+        # evaluated, so no warning either
+        assert run(["dynamics", "--times", times, "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and captured.out == ""
+
+    def test_overflowing_time_exits_two(self, tmp_path):
+        # a fresh process, as a user runs it: the smooth kernel at the dual point must not
+        # overflow at t = 1e308, where the propagator is singular and the conditioning
+        # guard reports a domain error (numpy's overflow warnings on the way are no error)
+        src = os.path.dirname(os.path.dirname(rlmdual.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rlmdual.cli", "duality-check", "--params", "0.5,0,0.25,1",
+             "--times", "1e308,1", "--out", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "ill-conditioned at t=1e+308" in errors[0]
 
     def test_bad_perturb_exits_two(self):
         assert run(["duality-check", "--perturb", "mu=2"]) == 2

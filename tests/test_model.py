@@ -154,12 +154,17 @@ class TestPropagator:
         assert np.abs(resid).max() < 1e-5
 
 
-@pytest.mark.parametrize("method", ["generator", "generator_gflip", "jump_set",
-                                    "heisenberg_jump_rates", "propagator_spectral",
-                                    "generator_spectral", "propagator", "kraus_set"])
-def test_negative_time_rejected(method):
+@pytest.mark.parametrize("method, t", [
+    *(pytest.param(m, -1.0, id=m) for m in (
+        "generator", "generator_gflip", "jump_set", "heisenberg_jump_rates",
+        "propagator_spectral", "generator_spectral", "propagator", "kraus_set",
+        "kernel_smooth")),
+    *(pytest.param(m, np.array([0.5, -0.1]), id=f"{m}-array") for m in (
+        "propagator", "generator", "generator_gflip", "kernel_smooth")),
+])
+def test_negative_time_rejected(method, t):
     with pytest.raises(ValueError, match="nonnegative"):
-        getattr(RlmProvider(TH), method)(-1.0)
+        getattr(RlmProvider(TH), method)(t)
 
 
 class TestPropagatorStack:
@@ -181,16 +186,19 @@ class TestPropagatorStack:
                 ref = expm(self.exponent(th, t, pr.p(float(t))))
                 assert np.abs(mat - ref).max() < 1e-12
 
-    def test_stack_entry_equals_float_call(self):
-        pr = RlmProvider(TH)
-        ts = np.array([0.0, 0.05, 0.7, 3.1, 9.0])
-        stack = pr.propagator(ts)
-        for t, mat in zip(ts, stack):
-            assert np.abs(mat - RlmProvider(TH).propagator(float(t))).max() <= 1e-15
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            RlmProvider(TH).propagator(np.array([0.5, -0.1]))
+    @pytest.mark.parametrize("th", [TH, TH.dual()], ids=["theta", "dual"])
+    @pytest.mark.parametrize("method, points", [
+        *(pytest.param(m, np.array([0.0, 0.05, 0.7, 3.1, 9.0]), id=m)
+          for m in ("propagator", "generator", "generator_gflip", "kernel_smooth")),
+        *(pytest.param(m, np.array([0.4j, 1.0 + 0.7j, -0.6 + 1.5j, 2.0j, 0.3 - 0.2j]), id=m)
+          for m in ("propagator_hat", "memory_kernel_hat")),
+    ])
+    def test_stack_entry_equals_float_call(self, method, points, th):
+        # one contract: a 1-D array gives the stack of the float calls
+        stack = getattr(RlmProvider(th), method)(points)
+        assert stack.shape == (len(points), 4, 4)
+        for x, mat in zip(points, stack):
+            assert np.abs(mat - getattr(RlmProvider(th), method)(x.item())).max() <= 1e-15
 
     def test_p_served_from_memoized_g(self, monkeypatch):
         calls = {"g_of_t": [], "g_dual_of_t": []}

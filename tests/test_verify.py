@@ -348,6 +348,17 @@ class TestExternalFamily:
         with pytest.raises(MissingCallbackError):
             tab.family.propagator(9.0, DEFAULT_PARAMS[0])
 
+    def test_array_lookup_stacks_the_samples(self):
+        th = DEFAULT_PARAMS[0]
+        tab = family_from_json(json.dumps(family_to_json(FAM, [th], (0.5, 2.0), ())))
+        prop = tab.family.propagator
+        stack = prop(np.array([2.0, 0.5, 0.5]), th)
+        assert stack.shape == (3, 4, 4)
+        assert np.array_equal(stack, [prop(2.0, th), prop(0.5, th), prop(0.5, th)])
+        # the first absent sample is named
+        with pytest.raises(MissingCallbackError, match="sample at 9.0 "):
+            prop(np.array([0.5, 9.0, 7.0]), th)
+
     def test_dim_and_convention_fields(self):
         doc = family_to_json(FAM, DEFAULT_PARAMS[:1], (0.5,), ())
         assert doc["dim"] == 2
