@@ -94,6 +94,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return nx, ny
 
 
+# e^{|gamma| t} below e^700 = 1.0e304 leaves a factor of about 1e4 of double
+# range (ln DBL_MAX = 709.78) for the prefactors of a growing propagator
+_MAX_GROWTH = 700.0
+
+
+def _check_growth(ts, gamma: float):
+    """Reject the first time at which e^{|gamma| t} leaves double range."""
+    ts = np.asarray(ts, dtype=float)
+    over = ts[abs(gamma) * ts > _MAX_GROWTH]
+    if over.size:
+        raise ValueError(f"e^(|gamma| t) leaves double range at t={_fmt(over[0])} with "
+                         f"gamma={_fmt(gamma)} (|gamma| t must stay <= {_fmt(_MAX_GROWTH)})")
+
+
 def _parse_rho0(text: str) -> np.ndarray:
     data = json.loads(text)
     rows = []
@@ -116,6 +130,8 @@ def cmd_dynamics(args) -> int:
     ts = np.linspace(t_lo, t_hi, args.points)
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
+    if params.gamma < 0:   # the propagator grows as e^{|gamma| t}
+        _check_growth(ts, params.gamma)
     h = 1e-4 / abs(params.gamma)
     t_minus = np.maximum(ts - h, 0.0)
     step = ts + h - t_minus
@@ -229,6 +245,8 @@ def cmd_duality_check(args) -> int:
         times = DEFAULT_TIMES
         if args.times:
             times = tuple(float(x) for x in args.times.split(","))
+        for params in params_list:   # the propagator at theta or at its dual grows
+            _check_growth(times, params.gamma)
         freqs = list(DEFAULT_FREQS)
         if args.seed is not None:
             rng = np.random.default_rng(args.seed)

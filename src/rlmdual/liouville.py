@@ -12,7 +12,7 @@ row-major embedding ``|M>[a*d + b] = M[a, b]`` on system (x) copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,10 +139,8 @@ def dissipator(j: np.ndarray) -> np.ndarray:
 
 
 def dissipator_heisenberg(j: np.ndarray) -> np.ndarray:
-    """X -> j X j^dag - {j j^dag, X}/2 (unit-annihilating variant)."""
-    j = np.asarray(j)
-    jjd = j @ j.conj().T
-    return np.kron(j.conj(), j) - 0.5 * anticommutator_superop(jjd)
+    """X -> j X j^dag - {j j^dag, X}/2 (unit-annihilating), the superadjoint of D(j^dag)."""
+    return superadjoint(dissipator(np.asarray(j).conj().T))
 
 
 def parity_superop(parity_op: np.ndarray) -> np.ndarray:
@@ -241,7 +239,6 @@ class SpectralMode:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     modes: tuple[SpectralMode, ...]
-    degeneracy_groups: tuple[tuple[int, ...], ...] = field(default=())
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -249,14 +246,8 @@ class SpectralDecomposition:
 
     def to_superoperator(self) -> np.ndarray:
         """Rebuild sum_i value_i |right_i><left_i|."""
-        out = 0.0
-        for m in self.modes:
-            out = out + m.value * np.outer(vectorize(m.right), vectorize(m.left).conj())
-        return out
-
-    def mode_projector(self, i: int) -> np.ndarray:
-        m = self.modes[i]
-        return np.outer(vectorize(m.right), vectorize(m.left).conj())
+        return sum(m.value * np.outer(vectorize(m.right), vectorize(m.left).conj())
+                   for m in self.modes)
 
 
 def _sort_order(values: np.ndarray) -> np.ndarray:
@@ -264,17 +255,7 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, -values.real))
 
 
-def _group_close(values: np.ndarray, tol: float) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for i, v in enumerate(values):
-        if groups and abs(v - values[groups[-1][-1]]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def spectral_decompose(s: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralDecomposition:
+def spectral_decompose(s: np.ndarray) -> SpectralDecomposition:
     """Eigenvalues with binormalized left/right eigenvector pairs.
 
     Eigenvalues are sorted by descending real part then ascending imaginary
@@ -297,7 +278,6 @@ def spectral_decompose(s: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralD
         raise DefectiveMatrixError(
             f"eigenvector matrix is near singular (condition number {cond:.2e})")
     lefts = np.linalg.inv(vr).conj().T
-    groups = _group_close(w, degeneracy_tol * max(1.0, float(np.abs(w).max())))
 
     modes = []
     for i in range(d2):
@@ -311,7 +291,7 @@ def spectral_decompose(s: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralD
         r = r / phase
         l = l * np.conj(phase)
         modes.append(SpectralMode(complex(w[i]), devectorize(r, d), devectorize(l, d)))
-    return SpectralDecomposition(tuple(modes), tuple(tuple(g) for g in groups))
+    return SpectralDecomposition(tuple(modes))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +318,7 @@ class KrausSet:
         return np.array([t.parity for t in self.terms])
 
     def to_superoperator(self) -> np.ndarray:
-        out = 0.0
-        for t in self.terms:
-            m = t.operator
-            out = out + t.coefficient * np.kron(m.conj(), m)
-        return out
+        return sum(t.coefficient * np.kron(t.operator.conj(), t.operator) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -367,17 +343,21 @@ class JumpSet:
 
     def generator(self) -> np.ndarray:
         """Rebuild G from -iG = -i[H, .] + sum_a j_a D(J_a)."""
-        x = -1j * commutator_superop(self.effective_hamiltonian)
-        for t in self.terms:
-            x = x + t.rate * dissipator(t.operator)
-        return 1j * x
+        return 1j * sum((t.rate * dissipator(t.operator) for t in self.terms),
+                        -1j * commutator_superop(self.effective_hamiltonian))
+
+    def _daggered(self) -> "JumpSet":
+        """The same rates and Hamiltonian with every J replaced by J^dag."""
+        return JumpSet(self.effective_hamiltonian,
+                       tuple(replace(t, operator=t.operator.conj().T) for t in self.terms))
 
     def heisenberg_generator(self) -> np.ndarray:
-        """Rebuild G^H from i G^H = i[H, .] + sum_a j_a D^H(J_a)."""
-        x = 1j * commutator_superop(self.effective_hamiltonian)
-        for t in self.terms:
-            x = x + t.rate * dissipator_heisenberg(t.operator)
-        return -1j * x
+        """Rebuild G^H from i G^H = i[H, .] + sum_a j_a D^H(J_a).
+
+        D^H(J) = D(J^dag)^sadj, so G^H is the superadjoint of the
+        Schroedinger generator of the daggered set.
+        """
+        return superadjoint(self._daggered().generator())
 
 
 def _parity_sector_bases(parity_op: np.ndarray):
@@ -459,22 +439,16 @@ def _vacuum_gauge(h: np.ndarray) -> np.ndarray:
     return h - h[0, 0].real * np.eye(h.shape[0])
 
 
-def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, heisenberg: bool,
-               rate_tol: float, recon_tol: float):
+def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, rate_tol: float,
+               recon_tol: float, preserved: str):
     gen = np.asarray(gen, dtype=complex)
     d = np.asarray(parity_op).shape[0]
     one = vectorize(np.eye(d))
     scale = max(1.0, float(np.abs(gen).max()))
-    if heisenberg:
-        defect = np.abs(gen @ one).max()
-        label = "unit preservation"
-        c = choi_of(1j * gen)
-    else:
-        defect = np.abs(gen.conj().T @ one).max()
-        label = "trace preservation"
-        c = choi_of(-1j * gen)
+    defect = np.abs(gen.conj().T @ one).max()
     if defect > 1e-9 * scale:
-        raise ValueError(f"{label} violated (defect {defect:.2e})")
+        raise ValueError(f"{preserved} preservation violated (defect {defect:.2e})")
+    c = choi_of(-1j * gen)
     cd = np.abs(c - c.conj().T).max()
     if cd > 1e-9 * scale:
         raise ReconstructionError(f"Choi operator is not Hermitian (defect {cd:.2e})")
@@ -492,25 +466,18 @@ def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, heisenberg: bool,
     terms = [JumpTerm(*t) for t in _sector_terms(c, ((even_c, 1), (odd, -1)), rate_tol * scale)]
 
     b = _recover_b(c, d)
-    h = 0.5j * (b - b.conj().T)  # -Im B; the Heisenberg variant wants +Im B
-    if heisenberg:
-        h = -h
-    h = _vacuum_gauge(h)
+    h = _vacuum_gauge(0.5j * (b - b.conj().T))   # -Im B
 
     # consistency: Hermitian part of B against the jump operators
     re_b = 0.5 * (b + b.conj().T)
-    acc = np.zeros((d, d), dtype=complex)
-    for t in terms:
-        jop = t.operator
-        acc += t.rate * (jop @ jop.conj().T if heisenberg else jop.conj().T @ jop)
+    acc = sum(t.rate * (t.operator.conj().T @ t.operator) for t in terms)
     defect = np.abs(re_b + 0.5 * acc).max()
     if defect > recon_tol * scale:
         raise ReconstructionError(
             f"Hermitian part of B inconsistent with jump rates (defect {defect:.2e})")
 
     jset = JumpSet(h, tuple(terms))
-    rebuilt = jset.heisenberg_generator() if heisenberg else jset.generator()
-    resid = np.abs(rebuilt - gen).max()
+    resid = np.abs(jset.generator() - gen).max()
     if resid > recon_tol * scale:
         raise ReconstructionError(f"jump expansion residual {resid:.2e}")
     return jset
@@ -527,7 +494,7 @@ def gksl_decompose(gen: np.ndarray, parity_op: np.ndarray,
     fixed so its (0, 0) element vanishes (vacuum energy zero), and checked
     against the jump rates through the Hermitian part of the row.
     """
-    return _gksl_core(gen, parity_op, False, rate_tol, recon_tol)
+    return _gksl_core(gen, parity_op, rate_tol, recon_tol, "trace")
 
 
 def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray,
@@ -535,9 +502,12 @@ def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray,
     """Jump expansion of a unit-preserving Heisenberg generator.
 
     The input is G^H in ``d A / dt = +i G^H A``; dissipators carry the
-    unit-preserving anticommutator placement ``{J J^dag, .}``.
+    unit-preserving anticommutator placement ``{J J^dag, .}``.  Since
+    D^H(J) = D(J^dag)^sadj, this is the Schroedinger expansion of the
+    superadjoint (G^H)^sadj with every jump operator daggered.
     """
-    return _gksl_core(gen_h, parity_op, True, rate_tol, recon_tol)
+    return _gksl_core(superadjoint(gen_h), parity_op, rate_tol, recon_tol,
+                      "unit")._daggered()
 
 
 # ---------------------------------------------------------------------------

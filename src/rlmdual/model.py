@@ -109,7 +109,7 @@ def _closed_modes(values, s: float) -> SpectralDecomposition:
         SpectralMode(values[2], CREATOR, CREATOR),
         SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - s * IDENTITY_OP)),
     )
-    return SpectralDecomposition(modes, ((0,), (1,), (2,), (3,)))
+    return SpectralDecomposition(modes)
 
 
 def _generator_eigenvalues(params: ModelParams) -> np.ndarray:

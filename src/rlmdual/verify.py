@@ -232,25 +232,47 @@ def check_propagator_duality(family: SuperOpFamily, params: ModelParams,
     return _report("propagator_duality", params, points, resid, tol, witness)
 
 
-def _pair_modes(values_src, targets, tol_match):
-    """Greedy nearest pairing src eigenvalue index -> target index.
+def _rank_one(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a><b| of two vectorized operators."""
+    return np.outer(vectorize(a), vectorize(b).conj())
 
-    Returns (pairs, ambiguous) where ambiguity means two candidates within
-    ``tol_match`` of the same target.
+
+def _pair_terms(targets, values, target_pieces, value_pieces):
+    """Pair the terms of two decompositions of one map.
+
+    ``targets`` and ``values`` are (scalar, parity) lists; the piece lists
+    hold each term's rank-one piece, mapped so that partners agree.  Terms
+    are matched greedily on scalar distance within equal parity.  Values of
+    equal parity within 1e-8 (relative) of each other form a group, a single
+    term a group of one, and each group's summed pieces must equal the
+    summed pieces of its partners.  Returns the scalar residuals (matched
+    distances, then the magnitudes left unmatched on either side), one piece
+    residual per group and the matches as (i, j, whether j is a group of one).
     """
-    pairs = {}
-    ambiguous = False
-    used = set()
-    for i, tv in enumerate(targets):
-        dists = np.abs(values_src - tv)
-        order = np.argsort(dists)
-        j = next((k for k in order if k not in used), None)
-        pairs[i] = int(j)
-        used.add(int(j))
-        close = np.sum(dists < dists[j] + tol_match)
-        if close > 1:
-            ambiguous = True
-    return pairs, ambiguous
+    cand = sorted((abs(v - tv), i, j) for i, (tv, tp) in enumerate(targets)
+                  for j, (v, vp) in enumerate(values) if vp == tp)
+    mi, mj, matches = set(), set(), []
+    for dist, i, j in cand:
+        if i not in mi and j not in mj:
+            mi.add(i)
+            mj.add(j)
+            matches.append((i, j, dist))
+    scalar_res = [d for _, _, d in matches]
+    scalar_res += [abs(tv) for i, (tv, _) in enumerate(targets) if i not in mi]
+    scalar_res += [abs(v) for j, (v, _) in enumerate(values) if j not in mj]
+
+    group_tol = 1e-8 * float(np.abs([v for v, _ in values]).max(initial=1.0))
+    piece_res, single = [], set()
+    free = list(range(len(values)))
+    while free:
+        v0, p0 = values[free[0]]
+        group = [j for j in free if values[j][1] == p0 and abs(values[j][0] - v0) < group_tol]
+        free = [j for j in free if j not in group]
+        piece_res.append(_maxabs(sum(value_pieces[j] for j in group)
+                                 - sum(target_pieces[i] for i, j, _ in matches if j in group)))
+        if len(group) == 1:
+            single.add(group[0])
+    return scalar_res, piece_res, [(i, j, j in single) for i, j, _ in matches]
 
 
 def check_spectral_cross_relations(family: SuperOpFamily, params: ModelParams,
@@ -260,9 +282,10 @@ def check_spectral_cross_relations(family: SuperOpFamily, params: ModelParams,
 
     ``which = 'propagator'``: eigenvalues of Pi(t) pair as
     pi_j = exp(-G t) conj(pi_dual_i) and the rank-one spectral projectors obey
-    |r_j><l_j| = P |l_dual_i><r_dual_i| P.  ``which = 'kernel_hat'``: same
-    pairing with k_j(E) = conj(iG - k_dual_i(iG - E*)).  Self-dual modes are
-    additionally checked against the parity-overlap normalization equations.
+    |r_j><l_j| = P |l_dual_i><r_dual_i| P, summed over a degenerate group.
+    ``which = 'kernel_hat'``: same pairing with k_j(E) = conj(iG - k_dual_i(iG
+    - E*)).  Nondegenerate self-dual modes are additionally checked against
+    the parity-overlap normalization equations.
     """
     dual, gam, pmat, _ = _frame(family, params)
     if which == "propagator":
@@ -282,35 +305,23 @@ def check_spectral_cross_relations(family: SuperOpFamily, params: ModelParams,
 
     da = spectral_decompose(a)
     db = spectral_decompose(b)
-    targets = np.array([value_map(m.value) for m in db.modes])
-    pairs, ambiguous = _pair_modes(da.eigenvalues, targets, 1e-9 * max(1.0, _maxabs(targets)))
-
-    eig_res = []
-    vec_res = []
+    eig_res, vec_res, pairs = _pair_terms(
+        [(value_map(m.value), 0) for m in db.modes], [(m.value, 0) for m in da.modes],
+        [pmat @ _rank_one(m.left, m.right) @ pmat for m in db.modes],
+        [_rank_one(m.right, m.left) for m in da.modes])
     self_dual = []
-    for i, j in pairs.items():
-        mb = db.modes[i]
-        ma = da.modes[j]
-        eig_res.append(abs(ma.value - targets[i]))
-        lhs = da.mode_projector(j)
-        rhs = pmat @ np.outer(vectorize(mb.left), vectorize(mb.right).conj()) @ pmat
-        vec_res.append(_maxabs(lhs - rhs))
+    for i, j, single in pairs:
         # self-dual pair: the dual-side mode is the same physical mode (parallel
-        # right eigenvectors); its gauge is then fully fixed by binormalization
-        rb = vectorize(mb.right)
-        ra = vectorize(ma.right)
-        overlap = abs(np.vdot(rb, ra)) / (np.linalg.norm(rb) * np.linalg.norm(ra))
-        if abs(overlap - 1.0) < 1e-6:
-            la = vectorize(ma.left)
+        # unit right eigenvectors); its gauge is then fully fixed by binormalization
+        rb = vectorize(db.modes[i].right)
+        ra = vectorize(da.modes[j].right)
+        if single and abs(abs(np.vdot(rb, ra)) - 1.0) < 1e-6:
+            la = vectorize(da.modes[j].left)
             c = np.vdot(rb, pmat @ ra)
             self_dual.append(_maxabs(la - pmat @ rb / np.conj(c)))
     resid = max(eig_res + vec_res + self_dual)
-    witness = {"eigenvalues": eig_res, "projectors": vec_res,
-               "self_dual": self_dual, "ambiguous": ambiguous}
-    report = _report(f"spectral_cross_{which}", params, [point], resid, tol, witness)
-    if ambiguous:
-        report.passed = False
-    return report
+    witness = {"eigenvalues": eig_res, "projectors": vec_res, "self_dual": self_dual}
+    return _report(f"spectral_cross_{which}", params, [point], resid, tol, witness)
 
 
 def check_kernel_duality_frequency(family: SuperOpFamily, params: ModelParams,
@@ -381,80 +392,27 @@ def check_generator_gflip(family: SuperOpFamily, params: ModelParams,
 # operational relations (measurement and jump operators)
 # ---------------------------------------------------------------------------
 
-def _optimal_phase_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """min over phases of max|a - exp(i phi) b|."""
-    ov = np.vdot(b, a)
-    if abs(ov) < 1e-14:
-        return float(max(np.abs(a).max(), np.abs(b).max()))
-    return _maxabs(a - (ov / abs(ov)) * b)
-
-
-def _projector(ops) -> np.ndarray:
-    """Sum of |op><op| over the row-major flattened operators."""
-    return sum(np.outer(op.reshape(-1), op.reshape(-1).conj()) for op in ops)
-
-
-def _pair_in_sectors(targets, values, target_ops, value_ops):
-    """Pair the terms of two parity-sector decompositions.
-
-    ``targets`` and ``values`` are (scalar, parity) lists; the operator lists
-    hold the matching operators, mapped so that partners agree up to a phase.
-    Terms are matched greedily on scalar distance within equal parity.
-    Returns the scalar residuals (matched distances, then the magnitudes left
-    unmatched on either side), the phase-fixed operator residuals of pairs
-    with a nondegenerate value, the projector residuals of each degenerate
-    value group against its partners, and the matches as (i, j, distance).
-    """
-    cand = sorted((abs(v - tv), i, j) for i, (tv, tp) in enumerate(targets)
-                  for j, (v, vp) in enumerate(values) if vp == tp)
-    mi, mj, matches = set(), set(), []
-    for dist, i, j in cand:
-        if i not in mi and j not in mj:
-            mi.add(i)
-            mj.add(j)
-            matches.append((i, j, dist))
-    scalar_res = [d for _, _, d in matches]
-    scalar_res += [abs(tv) for i, (tv, _) in enumerate(targets) if i not in mi]
-    scalar_res += [abs(v) for j, (v, _) in enumerate(values) if j not in mj]
-
-    vals = np.array([v for v, _ in values])
-    group_tol = 1e-8 * float(np.abs(vals).max(initial=1.0))
-    groups = [np.flatnonzero(np.abs(vals - v) < group_tol) for v in vals]
-    op_res = [_optimal_phase_residual(value_ops[j], target_ops[i])
-              for i, j, _ in matches if len(groups[j]) == 1]
-    deg_res = []
-    for j, group in enumerate(groups):
-        if len(group) < 2 or j != group[0]:
-            continue
-        partners = [i for i, jj, _ in matches if jj in group]
-        deg_res.append(_maxabs(_projector(value_ops[jj] for jj in group)
-                               - _projector(target_ops[i] for i in partners)))
-    return scalar_res, op_res, deg_res, matches
-
-
 def check_kraus_duality(family: SuperOpFamily, params: ModelParams, t: float,
                         tol: float = 1e-7) -> ResidualReport:
     """Pairing of canonical measurement operators with their dual partners.
 
     Coefficients must map as m_a = exp(-G t) (-1)^{N_a'} m_dual_a' within
     equal parity sectors; matched operators obey M_a^dag = M_dual_a' up to a
-    phase.  Degenerate coefficient groups are compared through the
-    projectors onto their spans instead of single operators.
+    phase, compared as |M><M| summed over each degenerate coefficient group.
     """
     family.require("propagator")
     dual, gam, _, _ = _frame(family, params)
     kr = canonical_kraus(family.propagator(t, params), family.parity_op)
     kd = canonical_kraus(family.propagator(t, dual), family.parity_op)
-    coeff_res, op_res, deg_res, matches = _pair_in_sectors(
+    coeff_res, piece_res, pairs = _pair_terms(
         [(math.exp(-gam * t) * term.parity * term.coefficient, term.parity)
          for term in kd.terms],
         [(term.coefficient, term.parity) for term in kr.terms],
-        [term.operator for term in kd.terms],
-        [term.operator.conj().T for term in kr.terms])
-    resid = max(coeff_res + op_res + deg_res)
-    witness = {"coefficients": coeff_res, "operators": op_res,
-               "degenerate_projectors": deg_res,
-               "permutation": [(i, j) for i, j, _ in matches]}
+        [_rank_one(term.operator, term.operator) for term in kd.terms],
+        [_rank_one(term.operator.conj().T, term.operator.conj().T) for term in kr.terms])
+    resid = max(coeff_res + piece_res)
+    witness = {"coefficients": coeff_res, "projectors": piece_res,
+               "permutation": [(i, j) for i, j, _ in pairs]}
     return _report("kraus_duality", params, [t], resid, tol, witness)
 
 
@@ -491,7 +449,8 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     The Heisenberg generator is built from the right-hand side of the
     time-local duality and expanded with the unit-preserving dissipator
     placement; its Hamiltonian must equal minus the dual one, its jump
-    operators the dual jump operators, and the rates carry the parity sign.
+    operators the dual ones (|J><J| per rate group), and the rates carry the
+    parity sign.
     The fundamental sum rule sum_a j_a [J^dag J - (-1)^N J J^dag] = G*1 and
     the odd-rate scalar rule are validated on the Schroedinger set.
     """
@@ -511,11 +470,11 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     sch = gksl_decompose(family.generator(t, params), family.parity_op)
 
     ham_res = _maxabs(heis.effective_hamiltonian + sch_dual.effective_hamiltonian)
-    rate_res, op_res, deg_res, _ = _pair_in_sectors(
+    rate_res, piece_res, _ = _pair_terms(
         [(term.parity * term.rate, term.parity) for term in sch_dual.terms],
         [(term.rate, term.parity) for term in heis.terms],
-        [term.operator for term in sch_dual.terms],
-        [term.operator for term in heis.terms])
+        [_rank_one(term.operator, term.operator) for term in sch_dual.terms],
+        [_rank_one(term.operator, term.operator) for term in heis.terms])
 
     acc = np.zeros((dim, dim), dtype=complex)
     odd_sum = 0.0
@@ -527,10 +486,9 @@ def check_jump_duality(family: SuperOpFamily, params: ModelParams, t: float,
     sum_rule = _maxabs(acc - gam * np.eye(dim))
     odd_rule = abs(odd_sum - 0.5 * dim * gam)
 
-    resid = max([ham_res, sum_rule, odd_rule] + rate_res + op_res + deg_res)
-    witness = {"hamiltonian": ham_res, "rates": rate_res, "operators": op_res,
-               "degenerate_projectors": deg_res, "sum_rule": sum_rule,
-               "odd_rate_rule": odd_rule}
+    resid = max([ham_res, sum_rule, odd_rule] + rate_res + piece_res)
+    witness = {"hamiltonian": ham_res, "rates": rate_res, "projectors": piece_res,
+               "sum_rule": sum_rule, "odd_rate_rule": odd_rule}
     return _report("jump_duality", params, [t], resid, tol, witness)
 
 

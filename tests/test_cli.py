@@ -330,9 +330,8 @@ class TestErrors:
         assert message in captured.err and captured.out == ""
 
     def test_overflowing_time_exits_two(self, tmp_path):
-        # a fresh process, as a user runs it: the smooth kernel at the dual point must not
-        # overflow at t = 1e308, where the propagator is singular and the conditioning
-        # guard reports a domain error (numpy's overflow warnings on the way are no error)
+        # a fresh process, as a user runs it: t = 1e308 is rejected before the
+        # propagators are evaluated, so numpy prints no overflow warning either
         src = os.path.dirname(os.path.dirname(rlmdual.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -341,9 +340,40 @@ class TestErrors:
              "--times", "1e308,1", "--out", str(tmp_path / "report.json")],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and "ill-conditioned at t=1e+308" in errors[0]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "leaves double range at t=1e+308" in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dynamics", "--gamma=-1", "--times", "0,2000", "--points", "3"], "t=1000 "),
+        (["dynamics", "--gamma=-5", "--T", "3", "--times", "0,140.5"], "t=140.5 "),
+        (["duality-check", "--params", "0.5,0,0.25,1", "--times", "1e308,1"], "t=1e+308 "),
+        (["duality-check", "--params=0.5,0,0.16,-1", "--times", "1,800"], "t=800 "),
+        (["duality-check", "--params", "0.5,0,0.25,1", "--params", "0.5,0,1,3",
+          "--times", "1,300"], "t=300 with gamma=3"),
+    ], ids=["dynamics", "dynamics_gamma5", "duality_dual", "duality_primary", "duality_grid"])
+    def test_growing_time_rejected_before_evaluation(self, argv, message, capsys):
+        # e^{|gamma| t} past e^700 leaves double range; a RuntimeWarning is an error here
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "leaves double range" in captured.err and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("gamma, temp", [(-1.0, 0.25), (-5.0, 3.0)])
+    def test_last_accepted_time_is_finite(self, gamma, temp, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", f"--gamma={gamma}", "--T", str(temp),
+                    "--times", f"0,{700 / abs(gamma)!r}", "--points", "3",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(float(c)) for row in rows for c in row)
+
+    def test_decaying_window_stays_accepted(self, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert run(["dynamics", "--times", "0,2000", "--points", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(math.isfinite(float(c)) for row in rows for c in row)
 
     def test_bad_perturb_exits_two(self):
         assert run(["duality-check", "--perturb", "mu=2"]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestPropagatorDuality:
 class TestSpectralCross:
     def test_propagator_pairs(self):
         rep = check_spectral_cross_relations(FAM, TH, 1.0, 1e-8, "propagator")
-        assert rep.passed and not rep.witness["ambiguous"]
+        assert rep.passed and len(rep.witness["projectors"]) == 4
         # the unit eigenvalue pairs with exp(-gamma t) across the spectrum
         pr = RlmProvider(TH)
         w = np.linalg.eigvals(pr.propagator(1.0))
@@ -107,13 +108,66 @@ class TestSpectralCross:
         assert rep.passed
         assert rep.max_residual < 1e-10
 
-    def test_degenerate_spectrum_reports_ambiguity(self):
-        # at resonance the two coherence eigenvalues coincide: the pairing is
-        # ambiguous and must be reported rather than guessed
+    def test_degenerate_spectrum_pairs_by_group(self):
+        # at eps = 0 the two coherence eigenvalues coincide: the pair is one
+        # group, compared through its summed projector, and has no gauge check
         rep = check_spectral_cross_relations(
             FAM, ModelParams(0.0, 0.0, 0.4, 1.0), 0.9, 1e-8, "propagator")
-        assert rep.witness["ambiguous"]
+        assert rep.passed
+        assert len(rep.witness["projectors"]) == 3
+        assert rep.witness["self_dual"] == []
+
+    def test_degenerate_group_mutation_fails_on_projectors(self):
+        # conjugating the dual propagator by S = 1 + 0.01 e1 e0^T keeps every
+        # eigenvalue but moves the eigenvectors, the coherence group's too
+        th = ModelParams(0.0, 0.5, 0.25, 1.0)
+        s = np.eye(4)
+        s[1, 0] = 0.01
+
+        def propagator(t, p):
+            pi = FAM.propagator(t, p)
+            return s @ pi @ np.linalg.inv(s) if p == th.dual() else pi
+
+        rep = check_spectral_cross_relations(
+            replace(FAM, propagator=propagator), th, 1.0, 1e-8, "propagator")
+        assert max(rep.witness["eigenvalues"]) < 1e-12
+        assert max(rep.witness["projectors"]) == pytest.approx(0.01, rel=1e-3)
         assert not rep.passed
+
+
+# the coherence eigenvalues +-eps - i gamma/2 coincide at eps = 0
+DEGENERATE_POINTS = (ModelParams(0.0, 0.5, 0.25, 1.0), ModelParams(0.0, -0.3, 0.5, 1.0),
+                     ModelParams(0.0, 0.0, 0.4, 1.0))
+PAIRING_CHECKS = {
+    "spectral_cross_propagator":
+        lambda f, p: check_spectral_cross_relations(f, p, 1.0, 1e-8, "propagator"),
+    "spectral_cross_kernel_hat":
+        lambda f, p: check_spectral_cross_relations(f, p, 1j * f.gamma_sum(p), 1e-8,
+                                                    "kernel_hat"),
+    "kraus_duality": lambda f, p: check_kraus_duality(f, p, 1.0, 1e-7),
+    "jump_duality": lambda f, p: check_jump_duality(f, p, 1.0, 1e-7),
+}
+
+
+class TestDegeneratePoints:
+    @pytest.mark.parametrize("th", DEGENERATE_POINTS)
+    @pytest.mark.parametrize("rid", PAIRING_CHECKS)
+    def test_plain_passes(self, rid, th):
+        rep = PAIRING_CHECKS[rid](FAM, th)
+        assert rep.passed, (rep.max_residual, rep.witness)
+
+    @pytest.mark.parametrize("th", DEGENERATE_POINTS)
+    @pytest.mark.parametrize("rid", PAIRING_CHECKS)
+    def test_perturbed_fails(self, rid, th):
+        pert = perturbed_family(FAM, 1.01)
+        rep = PAIRING_CHECKS[rid](pert, th)
+        if rid == "spectral_cross_kernel_hat" and th.mu == 0.0:
+            # at eps = mu the smooth kernel vanishes and the scaled kernel
+            # still obeys its duality, as kernel_duality reports too
+            assert check_kernel_duality_frequency(pert, th, DEFAULT_FREQS).passed
+            assert rep.passed
+        else:
+            assert not rep.passed
 
 
 class TestKernelDuality:
@@ -199,7 +253,7 @@ class TestKrausChecks:
         th = ModelParams(0.4, 0.4, 0.3, 1.0)
         rep = check_kraus_duality(FAM, th, 1.0, 1e-7)
         assert rep.passed
-        assert rep.witness["degenerate_projectors"]
+        assert len(rep.witness["projectors"]) == len(rep.witness["permutation"]) - 1
 
 
 class TestJumpDuality:
@@ -229,7 +283,7 @@ class TestJumpDuality:
         th = ModelParams(0.4, 0.4, 0.3, 1.0)
         rep = check_jump_duality(FAM, th, 1.0, 1e-7)
         assert rep.passed
-        assert rep.witness["degenerate_projectors"]
+        assert len(rep.witness["projectors"]) == len(rep.witness["rates"]) - 1
 
 
 class TestChoiDuality:
