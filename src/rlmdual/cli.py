@@ -24,14 +24,13 @@ import sys
 
 import numpy as np
 
-from .liouville import vectorize
+from .liouville import ReconstructionError, vectorize
 from .markov import (
     breakdown_locator,
     cp_onset_time,
     semigroup_propagator,
     semigroup_propagator_hat,
     slip_operator,
-    slip_propagator_hat,
 )
 from .model import DIVERGES, NUMBER_OP, RlmProvider, divisibility_max, pole_catalog
 from .scalars import ModelParams, QuadratureError
@@ -39,6 +38,7 @@ from .verify import (
     DEFAULT_FREQS,
     DEFAULT_PARAMS,
     DEFAULT_TIMES,
+    DEFAULT_TOLERANCES,
     family_from_json,
     perturbed_family,
     rlm_family,
@@ -109,12 +109,12 @@ def _check_growth(ts, gamma: float):
 
 
 def _parse_rho0(text: str) -> np.ndarray:
-    data = json.loads(text)
-    rows = []
-    for row in data:
-        rows.append([complex(x[0], x[1]) if isinstance(x, list) else complex(x)
-                     for x in row])
-    return np.array(rows)
+    try:
+        return np.array([[complex(x[0], x[1]) if isinstance(x, list) else complex(x)
+                          for x in row] for row in json.loads(text)])
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"--rho0 must be a JSON matrix of numbers or [re, im] pairs, "
+                         f"got {text!r} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def cmd_frequency_map(args) -> int:
         if args.which == "semigroup-error":
             m = m - semigroup_propagator_hat(e, params)
         elif args.which == "slip-error":
-            m = m - slip_propagator_hat(e, params, slip=slip)
+            m = m - semigroup_propagator_hat(e, params) @ slip
         rows += [[re, im, v] for re, v in zip(res, np.abs(m[:, 0, 0]).tolist())]
     header = ["re_E", "im_E", "abs_element"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
@@ -218,7 +218,12 @@ def _parse_tols(items) -> dict:
         name, _, val = item.partition("=")
         if not val:
             raise ValueError(f"--tol expects relation=value, got {item!r}")
+        if name not in DEFAULT_TOLERANCES:
+            raise ValueError(f"--tol names no relation: {name!r} (one of "
+                             f"{', '.join(DEFAULT_TOLERANCES)})")
         tols[name] = float(val)
+        if not 0.0 <= tols[name] < math.inf:
+            raise ValueError(f"--tol {name} must be finite and nonnegative, got {val!r}")
     return tols
 
 
@@ -269,6 +274,8 @@ def _apply_perturb(family, spec: str):
 
 def cmd_markov(args) -> int:
     temp = args.T
+    if not 0.0 < temp < math.inf:
+        raise ValueError("--T must be positive and finite")
     d_lo, d_hi = _parse_range(args.eps_range)
     g_lo, g_hi = _parse_range(args.gamma_over_T_range)
     nx, ny = _parse_grid(args.grid)
@@ -405,7 +412,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except (ValueError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError, ReconstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,7 @@ import math
 
 import numpy as np
 
-from .liouville import (
-    identity_superop,
-    is_cp,
-    parity_superop,
-    vectorize,
-)
+from .liouville import identity_superop, parity_superop, vectorize
 from .model import IDENTITY_OP, PARITY_OP, RlmProvider, _generator_eigenvalues, mode_hat, mode_stack
 from .scalars import ModelParams, PoleError, g_stationary, k_hat
 
@@ -78,8 +73,11 @@ def semigroup_propagator_hat(e, params: ModelParams) -> np.ndarray:
     return mode_hat(e, params, g_stationary(params))
 
 
-def _reject_pole_collision(params: ModelParams) -> None:
-    """Raise unless the stationary eigenvalues {0, -i G, +-eps - i G/2} are distinct."""
+def _slip_coefficient(params: ModelParams) -> complex:
+    """(k_hat(i gamma/2) - k_hat(-i gamma/2))/2, real up to rounding.
+
+    Raises unless the stationary eigenvalues {0, -i G, +-eps - i G/2} are distinct.
+    """
     distinct: list[complex] = []
     tol = 1e-9 * max(1.0, abs(params.gamma), abs(params.epsilon))
     for v in _generator_eigenvalues(params):
@@ -88,6 +86,13 @@ def _reject_pole_collision(params: ModelParams) -> None:
                 f"stationary eigenvalues collide near {v}; the slip operator "
                 "is defined for simple, distinct stationary eigenvalues only")
         distinct.append(v)
+    gam = params.gamma
+    try:
+        return 0.5 * (k_hat(0.5j * gam, params) - k_hat(-0.5j * gam, params))
+    except PoleError as exc:
+        raise PoleError(
+            "slip coefficient diverges: k_hat(-i gamma/2) sits on the "
+            f"breakdown ladder ({exc})") from exc
 
 
 def slip_operator(params: ModelParams) -> np.ndarray:
@@ -98,74 +103,67 @@ def slip_operator(params: ModelParams) -> np.ndarray:
     eigenvalues, and the unique TP, duality-covariant solution with the
     (irrelevant) coherence terms set to zero.
     """
-    _reject_pole_collision(params)
-    gam = params.gamma
-    try:
-        coeff = 0.5 * (k_hat(0.5j * gam, params) - k_hat(-0.5j * gam, params))
-    except PoleError as exc:
-        raise PoleError(
-            "slip coefficient diverges: k_hat(-i gamma/2) sits on the "
-            f"breakdown ladder ({exc})") from exc
-    return identity_superop(2) + coeff * np.outer(
+    return identity_superop(2) + _slip_coefficient(params) * np.outer(
         vectorize(PARITY_OP), vectorize(IDENTITY_OP).conj())
 
 
-def slip_propagator(t, params: ModelParams,
-                    slip: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i G_inf t) S; TP, but not CP at early times when S is nontrivial.
-
-    A 1-D array of times gives an (N,4,4) stack.
-    """
-    if slip is None:
-        slip = slip_operator(params)
-    return semigroup_propagator(t, params) @ slip
+def slip_propagator(t, params: ModelParams) -> np.ndarray:
+    """exp(-i G_inf t) S: TP, not CP at early times; a 1-D array of times gives a stack."""
+    return semigroup_propagator(t, params) @ slip_operator(params)
 
 
-def slip_propagator_hat(e, params: ModelParams,
-                        slip: np.ndarray | None = None) -> np.ndarray:
-    if slip is None:
-        slip = slip_operator(params)
-    return semigroup_propagator_hat(e, params) @ slip
+def slip_propagator_hat(e, params: ModelParams) -> np.ndarray:
+    return semigroup_propagator_hat(e, params) @ slip_operator(params)
 
 
-def cp_onset_time(params: ModelParams, t_max: float | None = None,
-                  cp_tol: float = 1e-9, scan_points: int = 400):
+def _real_roots(c0: float, c1: float, c2: float = 0.0) -> list[float]:
+    """Real roots of c0 + c1 x + c2 x^2 by the cancellation-free quadratic formula."""
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if c2 == 0.0 or disc < 0.0:
+        return [-c0 / c1] if c2 == 0.0 and c1 else []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2, c0 / q] if q else [0.0]
+
+
+def cp_onset_time(params: ModelParams, t_max: float | None = None, cp_tol: float = 1e-9):
     """Time after which the slip-corrected propagator stays completely positive.
 
-    Scans the smallest Choi eigenvalue of exp(-i G_inf t) S over [0, t_max]
-    (dense linear-log grid), takes the brentq root of min_eig + cp_tol in the
-    last sign change, then demands CP on 64 log-spaced later samples.
-    Returns ALWAYS when CP from t = 0 on all samples, NEVER when still non-CP
-    at t_max; t_max <= 0 or cp_tol < 0 raise ValueError.
+    Parity covariance makes the Choi matrix of exp(-i G_inf t) S an X state in
+    x = exp(-gamma t): parity-flipping populations f_+-(x) = (1 -+ g)/2 -
+    x (1 +- 2c -+ g)/2 (g = g_inf, c the slip coefficient), parity-keeping ones
+    1 - f_+- and a coherence of modulus sqrt(x).  Its least eigenvalue is
+    >= -cp_tol exactly while f_+- >= -cp_tol and (1 - f_+ + cp_tol)(1 - f_- +
+    cp_tol) >= x, so polynomial roots in x bound the CP set.  Returns the end of
+    the last violation on [0, t_max], ALWAYS without one, NEVER if non-CP at
+    t_max; gamma <= 0, t_max <= 0 or cp_tol < 0 raise ValueError.
     """
+    gam = params.gamma
+    if not gam > 0:
+        raise ValueError("gamma must be positive: the slip decays as exp(-gamma t)")
     if t_max is None:
-        t_max = 1e3 / min(abs(params.gamma), params.temperature)
+        t_max = 1e3 / min(gam, params.temperature)
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if not cp_tol >= 0:
         raise ValueError("cp_tol must be nonnegative")
-    g_inf = g_stationary(params)
-    slip = slip_operator(params)
+    g, c = g_stationary(params), _slip_coefficient(params).real
+    # f_+- + cp_tol = a + b x and 1 - f_+- + cp_tol = k - b x with k = 1 + 2 cp_tol - a
+    lin = [(0.5 * (1.0 - g) + cp_tol, -0.5 * (1.0 + 2.0 * c - g)),
+           (0.5 * (1.0 + g) + cp_tol, -0.5 * (1.0 - 2.0 * c + g))]
+    (k_p, b_p), (k_m, b_m) = [(1.0 + 2.0 * cp_tol - a, b) for a, b in lin]
+    polys = lin + [(k_p * k_m, -(k_p * b_m + k_m * b_p + 1.0), b_p * b_m)]
 
-    def min_eig(t):   # a float or an array of times
-        return is_cp(mode_stack(t, params, g_inf) @ slip, cp_tol)[1]
+    def violated(x):
+        return min(np.polynomial.polynomial.polyval(x, p) for p in polys) < 0.0
 
-    lin = np.linspace(0.0, t_max, scan_points // 2)
-    log = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, scan_points // 2)
-    ts = np.unique(np.concatenate(([0.0], lin, log)))
-    bad = min_eig(ts) < -cp_tol
-    if not bad.any():
-        return ALWAYS
-    if bad[-1]:
+    x_min = math.exp(-gam * t_max)
+    if violated(x_min):
         return NEVER
-    from scipy.optimize import brentq
-
-    last_bad = int(np.where(bad)[0][-1])
-    onset = brentq(lambda t: min_eig(t) + cp_tol, ts[last_bad], ts[last_bad + 1])
-    if (min_eig(np.geomspace(onset, t_max, 64)[1:]) < -cp_tol).any():
-        # CP did not persist; the scan missed a later violation
-        return cp_onset_time(params, t_max, cp_tol, 2 * scan_points)
-    return float(onset)
+    edges = [x_min] + sorted(r for p in polys for r in _real_roots(*p) if x_min < r < 1.0) + [1.0]
+    for lower, upper in zip(edges, edges[1:]):   # upward in x is backward in time
+        if violated(0.5 * (lower + upper)):
+            return -math.log(lower) / gam
+    return ALWAYS
 
 
 def breakdown_locator(temperature: float, detuning: float,

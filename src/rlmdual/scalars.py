@@ -99,11 +99,7 @@ def k_of_t(t: float, params: ModelParams) -> float:
     """Kernel amplitude 2 T sin(delta t) / sinh(pi T t), delta = eps - mu."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return 2.0 * params.detuning / math.pi   # the limit t -> 0+
-    x = math.pi * params.temperature * t   # fused below: exact at small x, no overflow
-    return -4.0 * params.temperature * math.sin(params.detuning * t) * math.exp(-x) \
-        / math.expm1(-2.0 * x)
+    return float(weighted_kernel_grid(t, params, 0.0))
 
 
 def weighted_kernel_grid(ts: np.ndarray, params: ModelParams, decay: float) -> np.ndarray:
@@ -140,13 +136,19 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK = 1 << 16   # Gauss nodes, or (time, panel) pairs, held in memory at once
 
 
-def _panel_integrals(f, ts: np.ndarray, width: float):
+def _panel_integrals(f, ts: np.ndarray, params: ModelParams):
     """24-point Gauss-Legendre integrals of f(nodes, panel midpoints), nodes last.
 
     Returns the integrals over the whole panels [j w, (j+1) w] below max ts
-    (w = ``width``), their count below each t and each t's integral over
-    [floor(t/w) w, t]: the cost grows with max ts / w, not with len(ts).
+    (w = :func:`oscillation_panel_width`), their count below each t and each
+    t's integral over [floor(t/w) w, t]: the cost grows with max ts / w, not
+    with len(ts).  A panel count past the int64 range raises ValueError.
     """
+    width = oscillation_panel_width(params)
+    t_top = ts.max(initial=0.0)
+    if t_top / width >= 2.0 ** 63:
+        raise ValueError(f"t={t_top:g} spans more than 2^63 quadrature panels of width "
+                         f"{width:g} (delta={params.detuning:g}, gamma={params.gamma:g})")
     nodes, weights = _gauss_rule(24)
     unit, half = 0.5 * (nodes + 1.0), 0.5 * weights   # the rule on [0, 1]
 
@@ -223,8 +225,7 @@ def g_of_t(t, params: ModelParams):
 
     def quadrature(m):
         whole_vals, whole, last = _panel_integrals(
-            lambda s, _: weighted_kernel_grid(s, params, decay), ts[m],
-            oscillation_panel_width(params))
+            lambda s, _: weighted_kernel_grid(s, params, decay), ts[m], params)
         return np.concatenate([[0.0], np.cumsum(whole_vals)])[whole] + last
 
     return _piecewise(
@@ -279,7 +280,7 @@ def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
     width = oscillation_panel_width(params)
     # |k(s)| < 4T e^{-pi T s} and 0 <= R <= 1: past pi T s = 40 the rest is below 1e-17
     reach = np.minimum(ts, 40.0 / (math.pi * params.temperature))
-    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, reach, width)
+    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, reach, params)
     out = combine(ts, 0.5 * (whole * width + reach), a_last, b_last)
     mids = width * (np.arange(a.size) + 0.5)
     step = max(1, _BLOCK // max(a.size, 1))

@@ -133,7 +133,10 @@ def _jsonable(obj):
 
 
 def _report(relation_id, params, points, residual, tol, witness=None) -> ResidualReport:
+    """The report of one relation; a NaN residual raises ValueError (inf fails the relation)."""
     residual = float(residual)
+    if math.isnan(residual):
+        raise ValueError(f"{relation_id} residual is NaN at {params} sampled at {list(points)}")
     return ResidualReport(relation_id, params, list(points), residual, tol,
                           residual <= tol, witness or {})
 

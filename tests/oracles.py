@@ -1,20 +1,20 @@
-"""Second constructions of the slip, the resolvent, the pole catalog and G_inf.
+"""Second constructions of the slip, the resolvent, the pole catalog, G_inf and the CP onset.
 
 The package builds each of these quantities one way, in closed form.  The
 functions here build them another way (contour residues, a regularized
 Laplace transform, growth on shrinking circles, the Dyson inverse, a
-similarity transform and time-domain quadrature of the memory kernel) so
-that the tests can compare the two.
+similarity transform, time-domain quadrature of the memory kernel and a
+Choi-eigenvalue scan) so that the tests can compare the two.
 """
 
 import math
 
 import numpy as np
 
-from rlmdual.liouville import dissipator, spectral_decompose, superadjoint, vectorize
-from rlmdual.markov import slip_operator, stationary_generator
-from rlmdual.model import ANNIHILATOR, CREATOR, RlmProvider, pole_catalog
-from rlmdual.scalars import ModelParams, g_tail, weighted_kernel_grid
+from rlmdual.liouville import dissipator, is_cp, spectral_decompose, superadjoint, vectorize
+from rlmdual.markov import ALWAYS, NEVER, slip_operator, stationary_generator
+from rlmdual.model import ANNIHILATOR, CREATOR, RlmProvider, mode_stack, pole_catalog
+from rlmdual.scalars import ModelParams, g_stationary, g_tail, weighted_kernel_grid
 
 
 def contour_residue(f, pole: complex, radius: float, n: int = 32) -> np.ndarray:
@@ -149,3 +149,38 @@ def fixed_point_by_quadrature(params: ModelParams) -> np.ndarray:
         out = out + scalar * diss_diff @ np.outer(vectorize(mode.right),
                                                   vectorize(mode.left).conj())
     return out
+
+
+def cp_onset_by_scan(params: ModelParams, t_max: float | None = None,
+                     cp_tol: float = 1e-9, scan_points: int = 400):
+    """CP onset of exp(-i G_inf t) S from Choi eigenvalues sampled in time.
+
+    Scans the smallest Choi eigenvalue over [0, t_max] (dense linear-log
+    grid), takes the brentq root of min_eig + cp_tol in the last sign change,
+    then demands CP on 64 log-spaced later samples, rescanning with twice the
+    points where that fails.  Returns ALWAYS or NEVER as ``cp_onset_time``.
+    """
+    from scipy.optimize import brentq
+
+    if t_max is None:
+        t_max = 1e3 / min(abs(params.gamma), params.temperature)
+    g_inf = g_stationary(params)
+    slip = slip_operator(params)
+
+    def min_eig(t):   # a float or an array of times
+        return is_cp(mode_stack(t, params, g_inf) @ slip, cp_tol)[1]
+
+    lin = np.linspace(0.0, t_max, scan_points // 2)
+    log = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, scan_points // 2)
+    ts = np.unique(np.concatenate(([0.0], lin, log)))
+    bad = min_eig(ts) < -cp_tol
+    if not bad.any():
+        return ALWAYS
+    if bad[-1]:
+        return NEVER
+    last_bad = int(np.where(bad)[0][-1])
+    onset = brentq(lambda t: min_eig(t) + cp_tol, ts[last_bad], ts[last_bad + 1])
+    if (min_eig(np.geomspace(onset, t_max, 64)[1:]) < -cp_tol).any():
+        # CP did not persist; the scan missed a later violation
+        return cp_onset_by_scan(params, t_max, cp_tol, 2 * scan_points)
+    return float(onset)

@@ -373,7 +373,6 @@ def test_10_frequency_layer():
         e = complex(rng.uniform(-3, 3), rng.uniform(0.15, 2.5))
         worst = max(worst, float(np.abs(dyson_resolvent(FIG_THETA, e)
                                         - pr.propagator_hat(e)).max()))
-    slip = slip_operator(FIG_THETA)
     ground = vectorize(np.diag([1.0, 0.0]).astype(complex))
 
     def ring_err(theta, f, pole):
@@ -386,15 +385,12 @@ def test_10_frequency_layer():
         return max(errs)
 
     poles = (0.0, -1j, FIG_THETA.epsilon - 0.5j, -FIG_THETA.epsilon - 0.5j)
-    slip_errs = [ring_err(FIG_THETA,
-                          lambda e: slip_propagator_hat(e, FIG_THETA, slip=slip), p)
+    slip_errs = [ring_err(FIG_THETA, lambda e: slip_propagator_hat(e, FIG_THETA), p)
                  for p in poles]
     # ring-ratio clause at a parameter point in the hot, smooth-kernel regime
     th_ratio = ModelParams(0.5, 0.0, 3.0, 1.0)
-    slip_r = slip_operator(th_ratio)
     e1 = ring_err(th_ratio, lambda e: semigroup_propagator_hat(e, th_ratio), -1j)
-    e2 = ring_err(th_ratio,
-                  lambda e: slip_propagator_hat(e, th_ratio, slip=slip_r), -1j)
+    e2 = ring_err(th_ratio, lambda e: slip_propagator_hat(e, th_ratio), -1j)
     report(10, f"resolvent agreement {worst:.3e}; slip ring errors "
                f"{[f'{x:.2f}' for x in slip_errs]}; ratio {e1 / e2:.1f}")
     assert worst < 1e-8

@@ -414,6 +414,46 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["markov", "--grid", "2,2", "--T", "0"], "--T must be positive"),
+        (["markov", "--grid", "2,2", "--gamma-over-T-range=-1,-1"], "gamma must be positive"),
+        (["dynamics", "--rho0", "[1,0]"], "--rho0 must be a JSON matrix"),
+        (["dynamics", "--eps", "1e300"], "2^63 quadrature panels"),
+        (["dynamics", "--mu", "1e200"], "delta=-1e+200"),
+        (["duality-check", "--params", "1e300,0,0.25,1"], "delta=1e+300"),
+        (["duality-check", "--tol", "kraus_duality=nan"], "finite and nonnegative"),
+        (["duality-check", "--tol", "kraus_duality=-1"], "finite and nonnegative"),
+        (["duality-check", "--tol", "foo=1"], "names no relation: 'foo'"),
+        (["duality-check", "--params", "0.5,0,0.25,1e-300"],
+         "functional_fixed_point residual is NaN"),
+    ], ids=["markov_T0", "markov_gamma_negative", "rho0_vector", "eps_1e300", "mu_1e200",
+            "duality_eps_1e300", "tol_nan", "tol_negative", "tol_unknown", "gamma_1e-300"])
+    def test_input_and_domain_contract(self, argv, message, tmp_path, capsys):
+        # a RuntimeWarning is an error here; nothing is written where the run fails
+        out = tmp_path / "out.txt"
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_family_not_hermiticity_preserving_exits_two(self, tmp_path, capsys):
+        from rlmdual.liouville import matrix_to_json
+        from rlmdual.scalars import ModelParams
+        th = ModelParams(0.5, 0.0, 0.25, 1.0)
+        entries = matrix_to_json(np.diag([1.0, 2.0, 3.0, 1.0]))["entries"]
+        samples = [{"kind": "propagator", "arg": 0.5, "matrix": entries,
+                    "theta": {"epsilon": p.epsilon, "mu": p.mu,
+                              "temperature": p.temperature, "gamma": p.gamma}}
+                   for p in (th, th.dual())]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 2, "parity_diag": [1.0, -1.0], "samples": samples}))
+        out = tmp_path / "report.json"
+        assert run(["duality-check", "--family", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not Hermitian" in captured.err and not out.exists()
+
     def test_negative_leading_param_accepted(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["duality-check", "--params", "-0.5,0,0.25,1", "--out", str(a)]) == 0

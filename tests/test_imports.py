@@ -32,13 +32,22 @@ def test_cli_import_leaves_deferred_scipy_unloaded():
 
 
 def test_duality_check_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy.optimize is for the CP-onset root and the breakdown refinement only
+    # scipy.optimize is for the breakdown refinement only
     out = tmp_path / "report.json"
     code = ("import sys; from rlmdual.cli import main; "
             f"rc = main(['duality-check', '--out', {str(out)!r}]); "
             "print(rc, 'scipy.optimize' in sys.modules)")
     assert _fresh_process(code) == "0 False"
     assert len(json.loads(out.read_text())) == 60
+
+
+def test_cp_onset_leaves_scipy_optimize_unloaded():
+    # the onset is a root of closed-form polynomials: no root search
+    code = ("import sys; from rlmdual.markov import cp_onset_time; "
+            "from rlmdual.scalars import ModelParams; "
+            "print(cp_onset_time(ModelParams(1.0, 0.0, 0.5, 1.0)) > 0, "
+            "'scipy.optimize' in sys.modules)")
+    assert _fresh_process(code) == "True False"
 
 
 def test_lazy_names_are_scipys():

@@ -38,7 +38,7 @@ from rlmdual.model import (
 )
 from rlmdual.scalars import ModelParams, PoleError, k_hat
 
-from oracles import heisenberg_via_slip, regularized_slip, residue_slip
+from oracles import cp_onset_by_scan, heisenberg_via_slip, regularized_slip, residue_slip
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -80,7 +80,7 @@ class TestStacks:
             g_inf = stationary_generator(th)
             slip = slip_operator(th)
             semi = semigroup_propagator(ts, th)
-            slipped = slip_propagator(ts, th, slip=slip)
+            slipped = slip_propagator(ts, th)
             assert semi.shape == slipped.shape == (17, 4, 4)
             for t, a, b in zip(ts, semi, slipped):
                 ref = expm(-1j * g_inf * t)
@@ -177,7 +177,6 @@ class TestSlipPropagator:
         # the slip approximation cancels every isolated pole; the bare
         # semigroup leaves the parity pole at E = -i gamma
         pr = RlmProvider(TH)
-        slip = slip_operator(TH)
         ground = vectorize(np.diag([1.0, 0.0]).astype(complex))
 
         def ring_err(approx_hat, pole):
@@ -191,10 +190,10 @@ class TestSlipPropagator:
         poles = (0.0, -1j * TH.gamma, TH.epsilon - 0.5j * TH.gamma,
                  -TH.epsilon - 0.5j * TH.gamma)
         for pole in poles:
-            e2 = ring_err(lambda e: slip_propagator_hat(e, TH, slip=slip), pole)
+            e2 = ring_err(lambda e: slip_propagator_hat(e, TH), pole)
             assert e2 < 5.0  # finite: no pole left
         e1 = ring_err(lambda e: semigroup_propagator_hat(e, TH), -1j * TH.gamma)
-        e2 = ring_err(lambda e: slip_propagator_hat(e, TH, slip=slip), -1j * TH.gamma)
+        e2 = ring_err(lambda e: slip_propagator_hat(e, TH), -1j * TH.gamma)
         assert e1 / e2 > 10.0
         # shrinking the ring confirms the leftover pole of the bare semigroup
         def ring_err_r(approx_hat, pole, r):
@@ -212,7 +211,6 @@ class TestSlipPropagator:
         # L2 error over [2, 10]/gamma for the figure parameters gamma = 4T
         th = ModelParams(0.5, 0.0, 0.25, 1.0)
         pr = RlmProvider(th)
-        slip = slip_operator(th)
         rho0 = vectorize(np.diag([1.0, 0.0]).astype(complex))
         n_vec = vectorize(NUMBER_OP)
         ts = np.linspace(2.0, 10.0, 33)
@@ -220,19 +218,59 @@ class TestSlipPropagator:
         for t in ts:
             exact = np.real(n_vec.conj() @ (pr.propagator(t) @ rho0))
             occ1 = np.real(n_vec.conj() @ (semigroup_propagator(t, th) @ rho0))
-            occ2 = np.real(n_vec.conj() @ (slip_propagator(t, th, slip=slip) @ rho0))
+            occ2 = np.real(n_vec.conj() @ (slip_propagator(t, th) @ rho0))
             err1 += (occ1 - exact) ** 2
             err2 += (occ2 - exact) ** 2
         assert err2 < err1
 
 
+def _onset_cells():
+    """(params, t_max, cp_tol) cells: the default markov grid, the 11d and 11e
+    regimes, hot cells whose slip is within the floor (ALWAYS), random cells
+    and horizons around the onset, which give NEVER."""
+    cells = [(ModelParams(d, 0.0, 1.0, g), None, 1e-9)
+             for d in np.linspace(0.01, 5.0, 9) for g in np.linspace(1.0, 15.0, 9)]
+    cells += [(ModelParams(d, 0.0, 0.5, 1.0), None, 1e-9) for d in (5.0, 10.0, 20.0, 40.0)]
+    cells += [(ModelParams(0.01, 0.0, 1.0, 2.0 * math.pi * (1.0 + s * 10.0 ** -k)), 1e3, 1e-9)
+              for s in (-1, 1) for k in (1, 2, 3)]
+    cells += [(ModelParams(d, 0.0, temp, 1.0), None, tol)
+              for d in (0.5, -2.0) for temp in (1e4, 1e6) for tol in (1e-9, 1e-6)]
+    rng = np.random.default_rng(19)
+    for i in range(240):
+        temp = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+        th = ModelParams(rng.uniform(-10.0, 10.0) * temp, 0.0, temp,
+                         math.exp(rng.uniform(math.log(0.1), math.log(40.0))) * temp)
+        tol = (0.0, 1e-9, 1e-6)[i % 3]
+        if i % 2:   # a horizon of 0.2 to 3 times the onset
+            onset = cp_onset_by_scan(th, cp_tol=tol)
+            if isinstance(onset, float):
+                cells.append((th, rng.uniform(0.2, 3.0) * onset, tol))
+                continue
+        cells.append((th, None, tol))
+    return cells
+
+
 class TestCpOnset:
     def test_generic_finite_and_reproducible(self):
+        # reproduced by the Choi-eigenvalue scan in tests/oracles.py
         th = ModelParams(1.0, 0.0, 0.5, 1.0)
-        a = cp_onset_time(th, scan_points=400)
-        b = cp_onset_time(th, scan_points=800)
+        a = cp_onset_time(th)
         assert isinstance(a, float) and a > 0
-        assert abs(a - b) < 1e-3 / th.temperature
+        assert abs(a - cp_onset_by_scan(th)) < 1e-3 / th.temperature
+
+    def test_closed_form_matches_scan(self):
+        cells = _onset_cells()
+        verdicts = []
+        for th, t_max, tol in cells:
+            onset = cp_onset_time(th, t_max, tol)
+            scan = cp_onset_by_scan(th, t_max, tol)
+            verdicts.append(onset if isinstance(onset, str) else "finite")
+            if isinstance(onset, str) or isinstance(scan, str):
+                assert onset == scan, (th, t_max, tol)
+            else:
+                assert abs(onset - scan) <= 1e-9 / th.temperature, (th, t_max, tol)
+        assert len(cells) >= 300 and verdicts.count(NEVER) >= 20
+        assert verdicts.count(ALWAYS) >= 4
 
     def test_always_when_slip_trivial(self):
         assert cp_onset_time(HOT) == ALWAYS
@@ -246,6 +284,11 @@ class TestCpOnset:
     def test_bad_input_rejected(self, kwargs):
         with pytest.raises(ValueError):
             cp_onset_time(TH, **kwargs)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            cp_onset_time(ModelParams(0.5, 0.0, 0.25, gamma))
 
 
 class TestBreakdown:
