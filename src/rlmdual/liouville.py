@@ -392,30 +392,33 @@ def _phase_fix(m: np.ndarray) -> np.ndarray:
     return m * (abs(peak) / peak)
 
 
-def canonical_kraus(s: np.ndarray, parity_op: np.ndarray,
-                    coeff_tol: float = 1e-12, herm_tol: float = 1e-10,
-                    parity_tol: float = 1e-10) -> KrausSet:
+_COEFF_TOL = 1e-12   # Kraus coefficients below it (relative) are dropped
+_HERM_TOL = 1e-10    # Choi Hermiticity and parity-covariance defects (relative)
+_RATE_TOL = 1e-10    # jump rates below it (relative) are dropped
+_RECON_TOL = 1e-9    # jump-expansion reconstruction defects (relative)
+
+
+def canonical_kraus(s: np.ndarray, parity_op: np.ndarray) -> KrausSet:
     """Canonical measurement-operator sum of a parity-covariant map.
 
     Diagonalizes the Choi operator separately in the even and odd bipartite
     parity sectors, so every operator carries a definite parity even under
     coefficient degeneracies.  Coefficients are the real Choi eigenvalues,
     operators are unit-norm with the largest-magnitude entry made real
-    positive.  Terms with |coefficient| below ``coeff_tol`` (relative) are
-    dropped.
+    positive.  Terms with |coefficient| below 1e-12 (relative) are dropped.
     """
     s = np.asarray(s, dtype=complex)
     c = choi_of(s)
     defect = np.abs(c - c.conj().T).max()
     scale = max(1.0, float(np.abs(c).max()))
-    if defect > herm_tol * scale:
+    if defect > _HERM_TOL * scale:
         raise ReconstructionError(
             f"Choi operator is not Hermitian (defect {defect:.2e})")
-    if not is_parity_covariant(s, parity_op, parity_tol * scale):
+    if not is_parity_covariant(s, parity_op, _HERM_TOL * scale):
         raise ParityCovarianceError("map does not commute with the parity sandwich")
 
     even, odd = _parity_sector_bases(parity_op)
-    terms = _sector_terms(c, ((even, 1), (odd, -1)), coeff_tol * scale)
+    terms = _sector_terms(c, ((even, 1), (odd, -1)), _COEFF_TOL * scale)
     return KrausSet(tuple(KrausTerm(*t) for t in terms))
 
 
@@ -439,8 +442,7 @@ def _vacuum_gauge(h: np.ndarray) -> np.ndarray:
     return h - h[0, 0].real * np.eye(h.shape[0])
 
 
-def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, rate_tol: float,
-               recon_tol: float, preserved: str):
+def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, preserved: str):
     gen = np.asarray(gen, dtype=complex)
     d = np.asarray(parity_op).shape[0]
     one = vectorize(np.eye(d))
@@ -463,7 +465,7 @@ def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, rate_tol: float,
     keep = np.abs(np.diag(r)) > 1e-9
     even_c = q[:, keep]
 
-    terms = [JumpTerm(*t) for t in _sector_terms(c, ((even_c, 1), (odd, -1)), rate_tol * scale)]
+    terms = [JumpTerm(*t) for t in _sector_terms(c, ((even_c, 1), (odd, -1)), _RATE_TOL * scale)]
 
     b = _recover_b(c, d)
     h = _vacuum_gauge(0.5j * (b - b.conj().T))   # -Im B
@@ -472,19 +474,18 @@ def _gksl_core(gen: np.ndarray, parity_op: np.ndarray, rate_tol: float,
     re_b = 0.5 * (b + b.conj().T)
     acc = sum(t.rate * (t.operator.conj().T @ t.operator) for t in terms)
     defect = np.abs(re_b + 0.5 * acc).max()
-    if defect > recon_tol * scale:
+    if defect > _RECON_TOL * scale:
         raise ReconstructionError(
             f"Hermitian part of B inconsistent with jump rates (defect {defect:.2e})")
 
     jset = JumpSet(h, tuple(terms))
     resid = np.abs(jset.generator() - gen).max()
-    if resid > recon_tol * scale:
+    if resid > _RECON_TOL * scale:
         raise ReconstructionError(f"jump expansion residual {resid:.2e}")
     return jset
 
 
-def gksl_decompose(gen: np.ndarray, parity_op: np.ndarray,
-                   rate_tol: float = 1e-10, recon_tol: float = 1e-9) -> JumpSet:
+def gksl_decompose(gen: np.ndarray, parity_op: np.ndarray) -> JumpSet:
     """Canonical jump expansion of a trace-preserving time-local generator.
 
     The input is G in ``d rho / dt = -i G rho``.  Jump operators are
@@ -494,11 +495,10 @@ def gksl_decompose(gen: np.ndarray, parity_op: np.ndarray,
     fixed so its (0, 0) element vanishes (vacuum energy zero), and checked
     against the jump rates through the Hermitian part of the row.
     """
-    return _gksl_core(gen, parity_op, rate_tol, recon_tol, "trace")
+    return _gksl_core(gen, parity_op, "trace")
 
 
-def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray,
-                              rate_tol: float = 1e-10, recon_tol: float = 1e-9) -> JumpSet:
+def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray) -> JumpSet:
     """Jump expansion of a unit-preserving Heisenberg generator.
 
     The input is G^H in ``d A / dt = +i G^H A``; dissipators carry the
@@ -506,8 +506,7 @@ def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray,
     D^H(J) = D(J^dag)^sadj, this is the Schroedinger expansion of the
     superadjoint (G^H)^sadj with every jump operator daggered.
     """
-    return _gksl_core(superadjoint(gen_h), parity_op, rate_tol, recon_tol,
-                      "unit")._daggered()
+    return _gksl_core(superadjoint(gen_h), parity_op, "unit")._daggered()
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,8 @@ def _slip_coefficient(params: ModelParams) -> complex:
     Raises unless the stationary eigenvalues {0, -i G, +-eps - i G/2} are distinct.
     """
     distinct: list[complex] = []
-    tol = 1e-9 * max(1.0, abs(params.gamma), abs(params.epsilon))
     for v in _generator_eigenvalues(params):
-        if any(abs(v - u) < tol for u in distinct):
+        if any(abs(v - u) < 1e-9 * max(1.0, abs(u), abs(v)) for u in distinct):
             raise PoleCollisionError(
                 f"stationary eigenvalues collide near {v}; the slip operator "
                 "is defined for simple, distinct stationary eigenvalues only")

@@ -7,8 +7,8 @@ integral ``g`` (entering the time-local generator) and the doubly averaged
 values at sign-inverted parameters, the complex digamma function, and the
 Laplace transform of ``k`` continued to the whole complex plane.  ``g``,
 ``g_dual`` and ``p`` take a float or a whole 1-D array of times and are
-quadrature free: an exponential series in closed form, and a fixed
-Gauss-Legendre rule at short times.
+quadrature free: an exponential series where 2 pi T t >= 1/2, and below it a
+series in pi T t whose terms are incomplete gamma functions in closed form.
 
 Conventions: hbar = k_B = 1, all energies in the same unit, times in inverse
 energy.  The Laplace transform used throughout is ``f_hat(w) = int_0^inf dt
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import psi
+from scipy.special import bernoulli, exp1, psi
 
 __all__ = [
     "ModelParams",
@@ -38,7 +38,6 @@ __all__ = [
     "digamma_complex",
     "k_hat",
     "k_hat_pole_ladder",
-    "oscillation_panel_width",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -115,54 +114,43 @@ def weighted_kernel_grid(ts: np.ndarray, params: ModelParams, decay: float) -> n
     return np.where(ts == 0.0, 2.0 * params.detuning / math.pi, out)
 
 
-def oscillation_panel_width(params: ModelParams) -> float:
-    """Panel width resolving sin(delta t), the thermal decay and exp(-gamma t/2)."""
-    widths = [1.0 / (math.pi * params.temperature)]
-    if params.detuning != 0.0:
-        widths.append(math.pi / abs(params.detuning))
-    if params.gamma != 0.0:
-        widths.append(2.0 / abs(params.gamma))
-    return min(widths)
+# h(x) = x / sinh x = sum_k c_k x^{2k}, c_k = -(2^{2k} - 2) B_{2k} / (2k)!: nine
+# terms reach 1e-17 for x <= 1/4, which is 2 pi T t <= 1/2 at x = pi T t
+_H = np.array([-(4.0 ** k - 2.0) * b / math.factorial(2 * k)
+               for k, b in enumerate(bernoulli(16)[::2])])
+_ORDERS = 28   # Gs(n, w) for n < 28: g takes n = 2k, p the n = 2k + j, j < 12
+_J = np.arange(40)   # power-series terms: 4^40/40! < 1e-23
+_FACT = np.array([math.factorial(k) for k in range(_ORDERS - 1)], dtype=float)
+# (-w)^j/j! @ _SERIES sums (-w)^j/(j! (n + j)), without the j = 0 term at n = 0
+_SERIES = 1.0 / np.maximum(np.add.outer(_J, np.arange(_ORDERS)), 1)
+_SERIES[0, 0] = 0.0
+# w^-i @ _TAIL sums (n-1)! w^-i/(n-i)! over i = 1..n, row i - 1, column n - 1
+_TAIL = np.triu(_FACT / _FACT[abs(np.subtract.outer(range(_ORDERS - 1), range(_ORDERS - 1)))])
 
 
-@functools.cache
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = np.polynomial.legendre.leggauss(order)
-    for arr in rule:
-        arr.setflags(write=False)   # shared by every caller
-    return rule
+def _gs(w: np.ndarray) -> np.ndarray:
+    """Gs(n, w) = int_0^1 u^{n-1} e^{-w u} du for n = 0..27 (last axis), Gs(0, w) = -Ein(w).
 
-
-_BLOCK = 1 << 16   # Gauss nodes, or (time, panel) pairs, held in memory at once
-
-
-def _panel_integrals(f, ts: np.ndarray, params: ModelParams):
-    """24-point Gauss-Legendre integrals of f(nodes, panel midpoints), nodes last.
-
-    Returns the integrals over the whole panels [j w, (j+1) w] below max ts
-    (w = :func:`oscillation_panel_width`), their count below each t and each
-    t's integral over [floor(t/w) w, t]: the cost grows with max ts / w, not
-    with len(ts).  A panel count past the int64 range raises ValueError.
+    The power series sum_j (-w)^j/(j! (n + j)) where |w| <= 4; beyond it
+    (n-1)! [w^-n - e^-w sum_{i=1}^n w^-i/(n-i)!] (DLMF 8.4.7), which cannot
+    overflow in negative powers of w, and Ein = E1 + ln w + gamma_E (DLMF 6.2.3).
     """
-    width = oscillation_panel_width(params)
-    t_top = ts.max(initial=0.0)
-    if t_top / width >= 2.0 ** 63:
-        raise ValueError(f"t={t_top:g} spans more than 2^63 quadrature panels of width "
-                         f"{width:g} (delta={params.detuning:g}, gamma={params.gamma:g})")
-    nodes, weights = _gauss_rule(24)
-    unit, half = 0.5 * (nodes + 1.0), 0.5 * weights   # the rule on [0, 1]
+    out = np.empty(w.shape + (_ORDERS,), dtype=complex)
+    small = np.abs(w) <= 4.0
+    if small.any():
+        terms = np.ones((int(small.sum()), _J.size), dtype=complex)
+        terms[:, 1:] = np.cumprod(-w[small, None] / _J[1:], axis=1)
+        out[small] = terms @ _SERIES
+    if not small.all():
+        wl = w[~small]
+        inv = np.cumprod(np.broadcast_to(1.0 / wl[:, None], (wl.size, _ORDERS - 1)), axis=1)
+        out[~small, 0] = -(exp1(wl) + np.log(wl) + np.euler_gamma)
+        out[~small, 1:] = inv * _FACT - np.exp(-wl)[:, None] * (inv @ _TAIL)
+    return out
 
-    def over(lo, h):   # panels [lo, lo + h] as column vectors
-        return (f(lo + h * unit, lo + 0.5 * h) * (h * half)).sum(axis=-1)
 
-    whole = np.floor(ts / width).astype(np.int64)
-    n = int(whole.max(initial=0))
-    lo = np.concatenate([width * np.arange(n), whole * width])[:, None]
-    h = np.concatenate([np.full(n, width), ts - lo[n:, 0]])[:, None]
-    step = _BLOCK // unit.size
-    vals = np.concatenate(
-        [over(lo[i:i + step], h[i:i + step]) for i in range(0, len(lo), step)], axis=-1)
-    return vals[..., :n], whole, vals[..., n:]
+def _shc(x: np.ndarray) -> np.ndarray:
+    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -175,7 +163,7 @@ def _times(t) -> tuple[np.ndarray, bool]:
     return ts, isinstance(t, (float, int)) or np.ndim(t) == 0
 
 
-def _piecewise(ts: np.ndarray, scalar: bool, first: np.ndarray, f_first, f_second):
+def _piecewise(ts: np.ndarray, first: np.ndarray, f_first, f_second) -> np.ndarray:
     """f_first(mask) where ``first`` holds, f_second(mask) at the other t > 0, 0 at t = 0."""
     out = np.zeros_like(ts)
     second = ~first & (ts > 0)
@@ -183,7 +171,7 @@ def _piecewise(ts: np.ndarray, scalar: bool, first: np.ndarray, f_first, f_secon
         out[first] = f_first(first)
     if second.any():
         out[second] = f_second(second)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _series(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
@@ -215,22 +203,30 @@ def g_of_t(t, params: ModelParams):
     """Integral of exp(-gamma s / 2) k(s) over [0, t]; t a float or a 1-D array.
 
     Closed form g_c + :func:`g_tail` where 2 pi T t >= 1/2; below that the
-    series converges slowly and loses digits to cancellation, and the integral
-    is taken by composite Gauss-Legendre instead.
+    series converges slowly and loses digits to cancellation, and with
+    k(s) = (2/pi) Im(e^{i delta s})/s h(pi T s) the integral is
+    (2/pi) Im sum_k c_k (pi T t)^{2k} Gs(2k, (gamma/2 - i delta) t) instead.
     """
     ts, scalar = _times(t)
-    if params.detuning == 0.0:
-        return 0.0 if scalar else np.zeros_like(ts)
-    decay = -0.5 * params.gamma
+    out = _g(ts, params) if params.detuning else np.zeros_like(ts)
+    return float(out[0]) if scalar else out
 
-    def quadrature(m):
-        whole_vals, whole, last = _panel_integrals(
-            lambda s, _: weighted_kernel_grid(s, params, decay), ts[m], params)
-        return np.concatenate([[0.0], np.cumsum(whole_vals)])[whole] + last
+
+def _g_short(ts: np.ndarray, params: ModelParams) -> np.ndarray:
+    x = (math.pi * params.temperature * ts)[:, None] ** (2 * np.arange(_H.size))
+    gs = _gs((0.5 * params.gamma - 1j * params.detuning) * ts)[:, :2 * _H.size:2]
+    return (2.0 / math.pi) * (gs * (x * _H)).imag.sum(axis=1)
+
+
+def _g(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
+    """exp(-shift t) g(t) at a 1-D array of times."""
+    def scaled(m, vals):
+        return vals * np.exp(-shift * ts[m]) if shift else vals
 
     return _piecewise(
-        ts, scalar, _TWO_PI * params.temperature * ts >= 0.5,
-        lambda m: _g_constant(params) - _series(ts[m], params), quadrature)
+        ts, _TWO_PI * params.temperature * ts >= 0.5,
+        lambda m: scaled(m, _g_constant(params)) - _series(ts[m], params, shift),
+        lambda m: scaled(m, _g_short(ts[m], params)))
 
 
 def g_dual_of_t(t, params: ModelParams):
@@ -257,37 +253,32 @@ def g_stationary(params: ModelParams) -> float:
     return _g_constant(params)
 
 
-def _p_direct(ts: np.ndarray, params: ModelParams) -> np.ndarray:
-    """p = int_0^t R(t, s) k(s) ds, R = sinh(c (t-s)/2) / sinh(c t/2), c = |gamma|.
+def _p_small(ts: np.ndarray, params: ModelParams) -> np.ndarray:
+    """p = int_0^t R(t, s) k(s) ds for |gamma t| < 0.3, R = sinh(a(t-s))/sinh(a t), a = gamma/2.
 
-    About a panel midpoint m, R = alpha cosh(c u/2) - beta u shc(c u/2) with
-    u = s - m and shc(x) = sinh(x)/x, so two panel moments of k serve every t.
+    R = sum_j rho_j s^j, rho_j = a^j/j! for even j and -coth(a t) a^j/j! for
+    odd j.  On [0, L], L = min(t, s_0), s_0 = 1/(4 pi T), the h series gives
+    (2/pi) Im sum_{k,j} c_k (pi T L)^{2k} rho_j L^j Gs(2k + j, -i delta L).  On
+    [s_0, t], 1/sinh x = 2 sum_n e^{-(2n+1) x} and with beta_n = (2n+1) pi T -
+    i delta, sigma = t - s, R e^{-beta s} has the antiderivative
+    -e^{-beta s} [beta sigma shc(a sigma) - cosh(a sigma)] / ((beta^2 - a^2) t shc(a t)).
     """
-    c = abs(params.gamma)
-
-    def moments(s, mid):
-        x = 0.5 * c * (s - mid)
-        shc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
-        return np.stack([np.cosh(x), (s - mid) * shc]) * weighted_kernel_grid(s, params, 0.0)
-
-    def combine(t, m, a, b):   # alpha a - beta b, overflow free for m <= t
-        if c == 0.0:
-            return ((t - m) * a - b) / t
-        rest = np.maximum(t - m, 0.0)
-        scale = np.exp(-0.5 * c * m) / -np.expm1(-c * t)
-        return scale * (-np.expm1(-c * rest) * a - 0.5 * c * (1.0 + np.exp(-c * rest)) * b)
-
-    width = oscillation_panel_width(params)
-    # |k(s)| < 4T e^{-pi T s} and 0 <= R <= 1: past pi T s = 40 the rest is below 1e-17
-    reach = np.minimum(ts, 40.0 / (math.pi * params.temperature))
-    (a, b), whole, (a_last, b_last) = _panel_integrals(moments, reach, params)
-    out = combine(ts, 0.5 * (whole * width + reach), a_last, b_last)
-    mids = width * (np.arange(a.size) + 0.5)
-    step = max(1, _BLOCK // max(a.size, 1))
-    for i in range(0, len(ts), step):
-        rows = slice(i, i + step)
-        inside = np.arange(a.size) < whole[rows, None]
-        out[rows] += (combine(ts[rows, None], mids, a, b) * inside).sum(axis=1)
+    temp, a = params.temperature, 0.5 * params.gamma
+    s0 = 0.25 / (math.pi * temp)
+    ell = np.minimum(ts, s0)
+    j = np.arange(12)
+    rho = (a * ell)[:, None] ** (j - j % 2) / _FACT[j]
+    rho[:, 1::2] *= (-ell * np.cosh(a * ts) / (ts * _shc(a * ts)))[:, None]   # a coth(a t) L
+    h = (math.pi * temp * ell)[:, None] ** (2 * np.arange(_H.size)) * _H
+    gs = _gs(-1j * params.detuning * ell)[:, np.add.outer(2 * np.arange(_H.size), j)]
+    out = (2.0 / math.pi) * (h[:, :, None] * rho[:, None, :] * gs).imag.sum(axis=(1, 2))
+    far = ts > s0
+    if far.any():
+        t, sig = ts[far, None], ts[far, None] - s0
+        beta = _TWO_PI * temp * (np.arange(82) + 0.5) - 1j * params.detuning
+        x, y = beta * sig, a * sig   # e^{-beta t} - e^{-beta s_0} cosh(y), free of cancellation
+        rest = np.exp(-beta * s0) * (np.expm1(-x) + x * _shc(y) - 2.0 * np.sinh(0.5 * y) ** 2)
+        out[far] += 4.0 * temp * (rest / ((beta ** 2 - a * a) * t * _shc(a * t))).imag.sum(axis=1)
     return out
 
 
@@ -295,11 +286,13 @@ def p_from_g(t, g, params: ModelParams):
     """p at times t (a float or a 1-D array) from g at the same times.
 
     Uses ``(1 - exp(-gamma t)) p(t) = g(t) + exp(-gamma t) g_dual(t)`` where
-    g has its closed form (2 pi T t >= 1/2) and |gamma t| >= 0.3.  The product
-    exp(-gamma t) g_dual(t) is one series: exp(-gamma t) exp(-b'_n t) of the
-    dual series is exp(-conj(b_n) t), which cannot overflow for gamma > 0 where
-    g_dual(t) alone does.  Below either bound the identity cancels digits
-    (1e-11 relative at gamma t = 1e-2), and :func:`_p_direct` is used.
+    |gamma t| >= 0.3; below that the identity cancels digits (1e-11 relative
+    at gamma t = 1e-2) and :func:`_p_small` integrates p directly.  For
+    gamma > 0, exp(-gamma t) g_dual(t) is formed in one piece (where 2 pi T t
+    >= 1/2 one series, exp(-gamma t) exp(-b'_n t) = exp(-conj(b_n) t)) and,
+    as it lies below (4 |delta| / (pi gamma)) exp(-gamma t/2), dropped past
+    gamma t = 80, before g_dual alone can overflow.  For gamma < 0 the
+    identity reads (exp(gamma t) g + g_dual) / (exp(gamma t) - 1).
     """
     ts, scalar = _times(t)
     if params.detuning == 0.0:
@@ -309,12 +302,15 @@ def p_from_g(t, g, params: ModelParams):
     dual = params.dual()
 
     def identity(m):
-        scaled_dual = np.exp(-gt[m]) * _g_constant(dual) - _series(ts[m], dual, params.gamma)
-        return (g[m] + scaled_dual) / -np.expm1(-gt[m])
+        if params.gamma < 0:
+            return (np.exp(gt[m]) * g[m] + _g(ts[m], dual)) / np.expm1(gt[m])
+        scaled = np.zeros(int(m.sum()))
+        near = gt[m] <= 80.0
+        scaled[near] = _g(ts[m][near], dual, params.gamma)
+        return (g[m] + scaled) / -np.expm1(-gt[m])
 
-    return _piecewise(
-        ts, scalar, (np.abs(gt) >= 0.3) & (_TWO_PI * params.temperature * ts >= 0.5),
-        identity, lambda m: _p_direct(ts[m], params))
+    out = _piecewise(ts, np.abs(gt) >= 0.3, identity, lambda m: _p_small(ts[m], params))
+    return float(out[0]) if scalar else out
 
 
 def p_of_t(t, params: ModelParams):

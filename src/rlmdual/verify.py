@@ -360,16 +360,18 @@ def check_kernel_duality_frequency(family: SuperOpFamily, params: ModelParams,
     return _report("kernel_duality", params, points, max(freq_res), tol, witness)
 
 
+_COND_LIMIT = 1e12   # largest propagator condition number the inversion accepts
+
+
 def check_generator_duality(family: SuperOpFamily, params: ModelParams,
-                            times, tol: float = 1e-7,
-                            cond_limit: float = 1e12) -> ResidualReport:
+                            times, tol: float = 1e-7) -> ResidualReport:
     """[Pi^-1 G Pi]^sadj against iG*1 - P G_dual P at each sampled time."""
     family.require("propagator", "generator")
     dual, gam, pmat, ident = _frame(family, params)
     ts = np.asarray(times, dtype=float)
     pi = family.propagator(ts, params)
     cond = np.linalg.cond(pi)
-    bad = np.flatnonzero(~(cond < cond_limit))   # a NaN condition number is bad too
+    bad = np.flatnonzero(~(cond < _COND_LIMIT))   # a NaN condition number is bad too
     if bad.size:
         raise np.linalg.LinAlgError(f"propagator inversion ill-conditioned at "
                                     f"t={ts[bad[0]]} (cond {cond[bad[0]]:.2e})")
@@ -617,6 +619,8 @@ DEFAULT_TIMES = (0.1, 0.5, 1.0, 3.0)
 
 DEFAULT_FREQS = (0.4j, 1.0 + 0.7j, -0.6 + 1.5j, 2.0j)
 
+_FIXED_POINT_STEPS = 200   # step count of run_suite's functional fixed point
+
 class _Samples(NamedTuple):
     """Where the relations are sampled at one parameter point."""
 
@@ -692,12 +696,11 @@ def run_suite(family: SuperOpFamily,
               params_list=DEFAULT_PARAMS,
               times=DEFAULT_TIMES,
               freqs=DEFAULT_FREQS,
-              tolerances: dict | None = None,
-              fixed_point_steps: int = 200) -> list[ResidualReport]:
+              tolerances: dict | None = None) -> list[ResidualReport]:
     """Run every relation over the parameter grid; deterministic report order."""
     return _run_relations(family, [
         (params, _Samples(times, freqs, (1j * family.gamma_sum(params),),
-                          fixed_point_steps))
+                          _FIXED_POINT_STEPS))
         for params in params_list], tolerances)
 
 

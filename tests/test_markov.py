@@ -137,6 +137,13 @@ class TestSlipOperator:
         with pytest.raises(PoleCollisionError):
             slip_operator(ModelParams(0.0, 0.0, 0.25, 1.0))
 
+    def test_far_detuned_eigenvalues_stay_distinct(self):
+        # 0 and -i gamma are |gamma| apart whatever eps is; at eps = 2e9 a tolerance
+        # scaled by |eps| took them for a collision
+        for eps in (2e8, 2e9, 1e12):
+            slip = slip_operator(ModelParams(eps, 0.0, 0.25, 1.0))
+            assert np.isfinite(slip).all()
+
 
 class TestSemigroupHat:
     def test_against_inverse(self):

@@ -184,13 +184,23 @@ def oracle_times(temp):
     return np.array([1e-3 / temp, 0.45 / x, 0.55 / x, 2.0 / temp, 8.0 / temp])
 
 
-def mp_g(mpmath, t, th):
+def mp_g(mpmath, t, th, pieces=None):
     """g(t) = int_0^t exp(-gamma s/2) 2T sin(delta s)/sinh(pi T s) ds by mpmath quadrature."""
     d, temp, gam = th.detuning, th.temperature, th.gamma
     f = lambda s: mpmath.exp(-gam * s / 2) * 2 * temp * mpmath.sin(d * s) \
         / mpmath.sinh(mpmath.pi * temp * s)
-    pieces = int(abs(d) * t / (2 * math.pi) + abs(gam) * t / 16) + 2
+    pieces = pieces or int(abs(d) * t / (2 * math.pi) + abs(gam) * t / 16) + 2
     return mpmath.quad(f, mpmath.linspace(0, t, pieces))
+
+
+@pytest.fixture
+def gs_args(monkeypatch):
+    """Sizes of the argument arrays that scalars._gs is called with."""
+    import rlmdual.scalars as scalars
+    args = []
+    gs = scalars._gs
+    monkeypatch.setattr(scalars, "_gs", lambda w: args.append(np.size(w)) or gs(w))
+    return args
 
 
 class TestClosedFormAgainstMpmath:
@@ -224,20 +234,14 @@ class TestClosedFormAgainstMpmath:
                     ref = -mpmath.quad(lambda u: f(t + u) * scale, nodes + [mpmath.inf]) / scale
                 assert abs(g_tail(t, th) - float(ref)) <= 1e-12 * abs(float(ref))
 
-    def test_long_window_at_low_temperature(self, monkeypatch):
-        # every time lies below 2 pi T t = 1/2, so all of them take the panel rule
+    def test_long_window_at_low_temperature(self, gs_args):
+        # every time lies below 2 pi T t = 1/2, so all of them take the short-time series
         mpmath = pytest.importorskip("mpmath")
-        import rlmdual.scalars as scalars
         th = ModelParams(1.0, 0.0, 1e-4, 0.05)
         ts = np.linspace(0.0, 300.0, 101)
-        nodes = []
-        kernel = scalars.weighted_kernel_grid
-        monkeypatch.setattr(scalars, "weighted_kernel_grid",
-                            lambda s, *a: nodes.append(np.size(s)) or kernel(s, *a))
         p = p_of_t(ts, th)
-        # g, g_dual and p share one panel grid: cost ~ max t, not len(ts) * max t
-        panels = ts[-1] / scalars.oscillation_panel_width(th)
-        assert sum(nodes) <= 3 * 24 * (panels + len(ts))
+        # g, g_dual and p cost a few series per time, however long the window
+        assert sum(gs_args) <= 3 * len(ts)
         for i in (1, 100):   # gamma t = 0.15 and 15
             t = ts[i]
             with mpmath.workdps(20):
@@ -246,6 +250,55 @@ class TestClosedFormAgainstMpmath:
                 rp = float((rg + decay * rd) / (1 - decay))
             assert abs(p[i] - rp) <= 1e-12 * abs(rp), t
             assert abs(g_of_t(t, th) - float(rg)) <= 1e-12 * abs(float(rg)), t
+
+    @pytest.mark.parametrize("th, ts", [
+        *[(th, [0.499 / (2.0 * math.pi * th.temperature)]) for th in ORACLE_THETAS],
+        # deep in the short-time regime, on both sides of |gamma t| = 0.3
+        (ModelParams(0.7, 0.0, 1e-8, 0.5), [0.4, 3.0, 30.0]),
+        (ModelParams(0.7, 0.0, 1e-8, -0.5), [0.4, 3.0, 30.0]),
+        # e^{|gamma| t} past double range: the identity must not form it
+        (ModelParams(0.5, 0.0, 1e-5, -1.0), [720.0, 1000.0]),
+    ], ids=["edge0", "edge1", "edge2", "edge3", "lowT_pos", "lowT_neg", "gamma_t_1000"])
+    def test_short_time_series(self, th, ts):
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.array(ts)
+        g, gd, p = g_of_t(ts, th), g_dual_of_t(ts, th), p_of_t(ts, th)
+        for i, t in enumerate(ts):
+            with mpmath.workdps(20):   # eight adaptive pieces hold 1e-16 up to e^500
+                rg, rd = mp_g(mpmath, t, th, 8), mp_g(mpmath, t, th.dual(), 8)
+                decay = mpmath.exp(-th.gamma * t)
+                rp = (rg + decay * rd) / (1 - decay)
+            for val, ref in ((g[i], rg), (gd[i], rd), (p[i], rp)):
+                assert abs(val - float(ref)) <= 1e-12 * abs(float(ref)), (th, t)
+
+    def test_divisibility_max_at_low_temperature(self, gs_args):
+        # g(pi/delta) with gamma t = 3e6 and T = 1e-12: one series, not 1.5 s of panels
+        mpmath = pytest.importorskip("mpmath")
+        from rlmdual.model import divisibility_max
+        th = ModelParams(1e-6, 0.0, 1e-12, 1.0)
+        val = divisibility_max("g", th)
+        assert sum(gs_args) == 1
+        d, temp = th.detuning, th.temperature
+        with mpmath.workdps(20):
+            f = lambda s: mpmath.exp(-s / 2) * 2 * temp * mpmath.sin(d * s) \
+                / mpmath.sinh(mpmath.pi * temp * s)
+            ref = float(mpmath.quad(f, [0, 2, 8, 32, 128, mpmath.pi / d]))
+        assert abs(val - ref) <= 1e-12 * ref
+
+    def test_large_detuning_costs_no_more(self, gs_args):
+        # the work of g, g_dual and p at 2 pi T t < 1/2 does not grow with t |delta|
+        mpmath = pytest.importorskip("mpmath")
+        for eps in (2e7, 2e3):
+            th = ModelParams(eps, 0.0, 0.25, 1.0)
+            gs_args.clear()
+            vals = g_of_t(0.3, th), g_dual_of_t(0.3, th), p_of_t(0.3, th)
+            assert sum(gs_args) == 4   # g, g_dual, and g with g_dual inside p
+        with mpmath.workdps(20):   # at delta = 2e3, which mpmath still integrates
+            rg, rd = mp_g(mpmath, 0.3, th), mp_g(mpmath, 0.3, th.dual())
+            decay = mpmath.exp(-th.gamma * 0.3)
+            rp = (rg + decay * rd) / (1 - decay)
+        for val, ref in zip(vals, (rg, rd, rp)):
+            assert abs(val - float(ref)) <= 1e-12 * abs(float(ref))
 
     def test_p_at_small_coupling(self):
         # |gamma t| << 1 in the closed-form regime, where the identity cancels
