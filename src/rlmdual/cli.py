@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -32,7 +33,7 @@ from .markov import (
     semigroup_propagator_hat,
     slip_operator,
 )
-from .model import DIVERGES, NUMBER_OP, RlmProvider, divisibility_max, pole_catalog
+from .model import NUMBER_OP, RlmProvider, divisibility_max, pole_catalog
 from .scalars import ModelParams, QuadratureError
 from .verify import (
     DEFAULT_FREQS,
@@ -49,10 +50,7 @@ from .verify import (
 __all__ = ["main"]
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
+_BLOCK_CELLS = 4096   # cells per array call of a grid subcommand, which bounds its memory
 
 
 def _emit(text: str, out: str | None, to_stdout: bool):
@@ -64,15 +62,15 @@ def _emit(text: str, out: str | None, to_stdout: bool):
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    return "\n".join(lines) + "\n"
+    """The table in one % format: str cells as they are, numbers as f"{x:.17g}" writes them."""
+    fmt = [",".join(["%s" if isinstance(c, str) else "%.17g" for c in row]) for row in rows]
+    return "\n".join(["%s"] + fmt + [""]) % (",".join(header), *itertools.chain.from_iterable(rows))
 
 
 def _rows_json(header: list[str], rows: list[list]) -> str:
-    recs = [{k: (v if isinstance(v, str) else float(v)) for k, v in zip(header, row)}
-            for row in rows]
+    # a non-finite number is written as in the CSV ("inf"), not as JSON's invalid Infinity
+    recs = [{k: v if isinstance(v, str) else float(v) if math.isfinite(v) else "%.17g" % v
+             for k, v in zip(header, row)} for row in rows]
     return json.dumps(recs, indent=1) + "\n"
 
 
@@ -82,9 +80,15 @@ def _parse_params(args) -> ModelParams:
 
 def _parse_range(text: str) -> tuple[float, float]:
     lo, hi = (float(x) for x in text.split(","))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("range endpoints must be finite")
+    if not math.isfinite(hi - lo):   # an endpoint is not finite or the span overflows
+        raise ValueError(f"range {text!r} must have finite endpoints and a finite width")
     return lo, hi
+
+
+def _row_blocks(values: np.ndarray, row_cells: int):
+    """Slices of the row axis of at most _BLOCK_CELLS cells, or of one row if it is longer."""
+    step = max(1, _BLOCK_CELLS // row_cells)
+    return (values[i:i + step] for i in range(0, len(values), step))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -104,8 +108,8 @@ def _check_growth(ts, gamma: float):
     ts = np.asarray(ts, dtype=float)
     over = ts[abs(gamma) * ts > _MAX_GROWTH]
     if over.size:
-        raise ValueError(f"e^(|gamma| t) leaves double range at t={_fmt(over[0])} with "
-                         f"gamma={_fmt(gamma)} (|gamma| t must stay <= {_fmt(_MAX_GROWTH)})")
+        raise ValueError(f"e^(|gamma| t) leaves double range at t={over[0]:.17g} with "
+                         f"gamma={gamma:.17g} (|gamma| t must stay <= {_MAX_GROWTH:.17g})")
 
 
 def _parse_rho0(text: str) -> np.ndarray:
@@ -126,8 +130,7 @@ def cmd_dynamics(args) -> int:
     if params.gamma == 0.0:
         raise ValueError("gamma must be nonzero: the difference step is 1e-4/|gamma|")
     rho0 = _parse_rho0(args.rho0)
-    t_lo, t_hi = _parse_range(args.times)
-    ts = np.linspace(t_lo, t_hi, args.points)
+    ts = np.linspace(*_parse_range(args.times), args.points)
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
     if params.gamma < 0:   # the propagator grows as e^{|gamma| t}
@@ -137,7 +140,7 @@ def cmd_dynamics(args) -> int:
     step = ts + h - t_minus
     if not step.all():   # t +- h round to t
         raise ValueError(f"the difference step {h:g} vanishes in rounding at "
-                         f"t={_fmt(ts[step == 0][0])}")
+                         f"t={ts[step == 0][0]:.17g}")
     provider = RlmProvider(params)
     v0 = vectorize(rho0)
     vn = vectorize(NUMBER_OP).conj()
@@ -161,10 +164,9 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_divisibility_map(args) -> int:
-    x_lo, x_hi = _parse_range(args.eps_range)
-    y_lo, y_hi = _parse_range(args.T_range)
     nx, ny = _parse_grid(args.grid)
-    xs = np.linspace(x_lo, x_hi, nx)
+    xs = np.linspace(*_parse_range(args.eps_range), nx)
+    y_lo, y_hi = _parse_range(args.T_range)
     ys = np.linspace(y_lo, y_hi, ny)
     gamma = args.gamma
     if not gamma > 0.0:
@@ -172,13 +174,13 @@ def cmd_divisibility_map(args) -> int:
     if min(y_lo, y_hi) < 0.0:
         raise ValueError("--T-range endpoints must be nonnegative")
     rows = []
-    for y in ys:
-        for x in xs:
+    for block in _row_blocks(ys, nx):
+        x, y = (v.ravel() for v in np.meshgrid(xs, block))
+        with np.errstate(over="ignore"):   # divisibility_max rejects an inf cell
             # T = 0 is evaluated at 1e-12, where g already equals its T -> 0 limit
-            params = ModelParams(x * gamma, 0.0, max(y * gamma, 1e-12), gamma)
-            mg = divisibility_max("g", params)
-            mgd = divisibility_max("g_dual", params)
-            rows.append([x, y, mg, "inf" if mgd == DIVERGES else mgd])
+            delta, temp = x * gamma, np.maximum(y * gamma, 1e-12)
+        rows += np.column_stack([x, y] + [divisibility_max(which, delta, temp, gamma)
+                                          for which in ("g", "g_dual")]).tolist()
     header = ["eps_minus_mu_over_gamma", "T_over_gamma", "max_g", "max_g_dual"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
     _emit(text, args.out, args.stdout)
@@ -187,25 +189,24 @@ def cmd_divisibility_map(args) -> int:
 
 def cmd_frequency_map(args) -> int:
     params = _parse_params(args)
-    re_lo, re_hi = _parse_range(args.re_range)
-    im_lo, im_hi = _parse_range(args.im_range)
     nx, ny = _parse_grid(args.grid)
-    res = np.linspace(re_lo, re_hi, nx)
-    ims = np.linspace(im_lo, im_hi, ny)
+    res = np.linspace(*_parse_range(args.re_range), nx)
+    ims = np.linspace(*_parse_range(args.im_range), ny)
     provider = RlmProvider(params)
     catalog = np.array(pole_catalog(params, n_max=6).all_poles)
     offset = 1e-6 * abs(params.gamma)
     slip = slip_operator(params) if args.which == "slip-error" else None
     rows = []
-    for im in ims:   # one grid row per call keeps memory O(nx)
-        e = res + 1j * im
+    for block in _row_blocks(ims, nx):
+        re, im = (v.ravel() for v in np.meshgrid(res, block))
+        e = re + 1j * im
         e = np.where(np.abs(e[:, None] - catalog).min(axis=1) < 10 * offset, e + offset, e)
         m = provider.propagator_hat(e)
         if args.which == "semigroup-error":
             m = m - semigroup_propagator_hat(e, params)
         elif args.which == "slip-error":
             m = m - semigroup_propagator_hat(e, params) @ slip
-        rows += [[re, im, v] for re, v in zip(res, np.abs(m[:, 0, 0]).tolist())]
+        rows += np.column_stack([re, im, np.abs(m[:, 0, 0])]).tolist()
     header = ["re_E", "im_E", "abs_element"]
     text = _rows_json(header, rows) if args.format == "json" else _csv(header, rows)
     _emit(text, args.out, args.stdout)
@@ -276,11 +277,9 @@ def cmd_markov(args) -> int:
     temp = args.T
     if not 0.0 < temp < math.inf:
         raise ValueError("--T must be positive and finite")
-    d_lo, d_hi = _parse_range(args.eps_range)
-    g_lo, g_hi = _parse_range(args.gamma_over_T_range)
     nx, ny = _parse_grid(args.grid)
-    detunings = np.linspace(d_lo, d_hi, nx)
-    gammas = np.linspace(g_lo, g_hi, ny)
+    detunings = np.linspace(*_parse_range(args.eps_range), nx)
+    gammas = np.linspace(*_parse_range(args.gamma_over_T_range), ny)
     t_max = args.t_max / temp
     rows = []
     for g_over_t in gammas:

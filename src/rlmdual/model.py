@@ -30,6 +30,8 @@ from .liouville import (
 from .scalars import (
     ModelParams,
     PoleError,
+    _Cells,
+    _g,
     g_dual_of_t,
     g_of_t,
     g_stationary,
@@ -358,9 +360,10 @@ def pole_catalog(params: ModelParams, n_max: int = 2) -> PoleCatalog:
 DIVERGES = math.inf
 
 
-def divisibility_max(which: str, params: ModelParams) -> float:
-    """max_t |g(t)| or |g_dual(t)|; DIVERGES (inf) where the maximum is unbounded.
+def divisibility_max(which: str, detuning, temperature, gamma):
+    """max_t |g(t)| or |g_dual(t)| per cell; DIVERGES (inf) where the maximum is unbounded.
 
+    detuning = eps - mu, temperature and gamma are floats or arrays of a grid.
     g(t) = int_0^t w(s) sin(delta s) ds with w(s) = exp(-gamma s/2) 2T/sinh(pi T s),
     and d/ds ln w = -gamma/2 - pi T coth(pi T s) < 0 for all s > 0 whenever
     gamma >= -2 pi T.  The lobes of sin(delta s) then alternate and shrink, so
@@ -369,9 +372,13 @@ def divisibility_max(which: str, params: ModelParams) -> float:
     """
     if which not in ("g", "g_dual"):
         raise ValueError("which must be 'g' or 'g_dual'")
-    p = params if which == "g" else params.dual()
-    if p.detuning == 0.0:
-        return 0.0
-    if p.gamma < -2.0 * math.pi * p.temperature:
-        return DIVERGES
-    return abs(g_of_t(math.pi / abs(p.detuning), p))
+    cells = np.broadcast_arrays(detuning, temperature, gamma)
+    if not (np.isfinite(cells).all() and (cells[1] > 0.0).all()):
+        raise ValueError("model parameters must be finite, the temperature positive")
+    sign = 1.0 if which == "g" else -1.0
+    delta, temp, gamma = (c.ravel() * s for c, s in zip(cells, (sign, 1.0, sign)))
+    live = (delta != 0.0) & (gamma >= -2.0 * math.pi * temp)
+    out = np.where(delta != 0.0, DIVERGES, 0.0)
+    cell = _Cells(delta[live], temp[live], gamma[live])
+    out[live] = np.abs(_g(math.pi / np.abs(cell.detuning), cell))
+    return float(out[0]) if cells[0].ndim == 0 else out.reshape(cells[0].shape)

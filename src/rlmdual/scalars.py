@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,18 +135,19 @@ def _gs(w: np.ndarray) -> np.ndarray:
     The power series sum_j (-w)^j/(j! (n + j)) where |w| <= 4; beyond it
     (n-1)! [w^-n - e^-w sum_{i=1}^n w^-i/(n-i)!] (DLMF 8.4.7), which cannot
     overflow in negative powers of w, and Ein = E1 + ln w + gamma_E (DLMF 6.2.3).
+    Each w is a one-row product of its own, so no value depends on its place in a BLAS block.
     """
     out = np.empty(w.shape + (_ORDERS,), dtype=complex)
     small = np.abs(w) <= 4.0
     if small.any():
         terms = np.ones((int(small.sum()), _J.size), dtype=complex)
         terms[:, 1:] = np.cumprod(-w[small, None] / _J[1:], axis=1)
-        out[small] = terms @ _SERIES
+        out[small] = (terms[:, None] @ _SERIES)[:, 0]
     if not small.all():
         wl = w[~small]
         inv = np.cumprod(np.broadcast_to(1.0 / wl[:, None], (wl.size, _ORDERS - 1)), axis=1)
         out[~small, 0] = -(exp1(wl) + np.log(wl) + np.euler_gamma)
-        out[~small, 1:] = inv * _FACT - np.exp(-wl)[:, None] * (inv @ _TAIL)
+        out[~small, 1:] = inv * _FACT - np.exp(-wl)[:, None] * (inv[:, None] @ _TAIL)[:, 0]
     return out
 
 
@@ -174,12 +176,18 @@ def _piecewise(ts: np.ndarray, first: np.ndarray, f_first, f_second) -> np.ndarr
     return out
 
 
+# a parameter point per time: arrays that the series below take in place of a ModelParams
+_Cells = namedtuple("_Cells", "detuning temperature gamma")
+
+
 def _series(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
     """4T sum_n Im[exp(-(b_n + shift) t) / b_n] for 2 pi T t >= 1/2, cut at 2 pi T n t >= 40."""
     temp = params.temperature
-    b = (0.5 * params.gamma + math.pi * temp - 1j * params.detuning) \
-        + _TWO_PI * temp * np.arange(82)
-    return 4.0 * temp * (np.exp(np.multiply.outer(-ts, b + shift)) / b).imag.sum(axis=1)
+    b = 0.5 * params.gamma + math.pi * temp - 1j * params.detuning
+    if isinstance(params, _Cells):   # a series per time: the parameters as columns
+        b, temp = b[:, None], temp[:, None]
+    b = b + _TWO_PI * temp * np.arange(82)
+    return 4.0 * params.temperature * (np.exp(-ts[:, None] * (b + shift)) / b).imag.sum(axis=1)
 
 
 def g_tail(t, params: ModelParams):
@@ -219,14 +227,20 @@ def _g_short(ts: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _g(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
-    """exp(-shift t) g(t) at a 1-D array of times."""
+    """exp(-shift t) g(t) at a 1-D array of times, ``params`` a ModelParams or _Cells."""
+    cells = isinstance(params, _Cells)
+    g_c = _g_constant.__wrapped__ if cells else _g_constant
+
+    def at(m):
+        return _Cells(*(v[m] for v in params)) if cells else params
+
     def scaled(m, vals):
         return vals * np.exp(-shift * ts[m]) if shift else vals
 
     return _piecewise(
         ts, _TWO_PI * params.temperature * ts >= 0.5,
-        lambda m: scaled(m, _g_constant(params)) - _series(ts[m], params, shift),
-        lambda m: scaled(m, _g_short(ts[m], params)))
+        lambda m: scaled(m, g_c(at(m))) - _series(ts[m], at(m), shift),
+        lambda m: scaled(m, _g_short(ts[m], at(m))))
 
 
 def g_dual_of_t(t, params: ModelParams):
@@ -234,7 +248,7 @@ def g_dual_of_t(t, params: ModelParams):
     return g_of_t(t, params.dual())
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)   # _Cells of arrays go through __wrapped__
 def _g_constant(params: ModelParams) -> float:
     """g_c = 4T sum_n Im[1/b_n] = (2/pi) Im psi(1/2 + (gamma/2 + i delta)/(2 pi T))."""
     return k_hat(0.5j * params.gamma, params).real
@@ -348,7 +362,7 @@ def k_hat(omega, params: ModelParams):
     """
     omega = np.asarray(omega, dtype=complex)
     scale = -1j / (_TWO_PI * params.temperature)
-    arg = (0.5 + scale * omega)[..., None] + (scale * params.detuning) * _ETA
+    arg = (0.5 + scale * omega)[..., None] + np.multiply.outer(scale * params.detuning, _ETA)
     try:
         psi_pm = digamma_complex(arg)
     except PoleError as exc:

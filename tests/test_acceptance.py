@@ -284,7 +284,7 @@ def test_08_jump_layer():
 
 
 def test_09a_divisibility_resonance():
-    val = divisibility_max("g", ModelParams(0.7, 0.7, 0.25, 1.0))
+    val = divisibility_max("g", 0.0, 0.25, 1.0)
     report("9a", f"max|g| at resonance = {val}")
     assert val == 0.0
 
@@ -296,7 +296,7 @@ def test_09b_divisibility_stated_point():
     # non-CP-divisible side is checked at 4 gamma, past the boundary delta* = 3.20 gamma.
     mpmath = pytest.importorskip("mpmath")
     th = ModelParams(2.0, 0.0, 0.1, 1.0)
-    val = divisibility_max("g", th)
+    val = divisibility_max("g", th.detuning, th.temperature, th.gamma)
     ts = np.linspace(0.0, 80.0, 200001)
     x = np.pi * th.temperature * ts
     k = np.empty_like(ts)
@@ -308,7 +308,7 @@ def test_09b_divisibility_stated_point():
                         th.gamma))
     cold = float(mpmath.quad(lambda s: mpmath.exp(-s / 2) * 2 * mpmath.sin(2 * s)
                              / (mpmath.pi * s), [0, mpmath.pi / 2]))
-    past = divisibility_max("g", ModelParams(4.0, 0.0, 0.1, 1.0))
+    past = divisibility_max("g", 4.0, 0.1, 1.0)
     exact_past = float(_mp_g(mpmath, math.pi / 4.0, 4.0, 0.1, 1.0))
     report("9b", f"max|g| at (2,0.1) = {val:.6f} (Simpson {oracle:.6f}, "
                  f"mpmath {exact:.6f}, T->0 bound {cold:.6f}) < 1; "
@@ -327,7 +327,7 @@ def test_09c_dual_divergence_rows():
     flagged = True
     for y in rows:
         for x in xs[1::20]:  # sample columns; the scalar vanishes at x = 0
-            val = divisibility_max("g_dual", ModelParams(x, 0.0, y, 1.0))
+            val = divisibility_max("g_dual", x, y, 1.0)
             flagged = flagged and (val == DIVERGES)
     report("9c", f"{len(rows)} sub-threshold rows all flagged DIVERGES: {flagged}")
     assert flagged
@@ -346,7 +346,7 @@ def test_09d_boundary_on_default_grid():
     row_xs = np.concatenate((xs, xs[-1] + step * np.arange(1, 21)))
     rows = []
     for y in ys[:2]:
-        vals = np.array([divisibility_max("g", ModelParams(x, 0.0, y, 1.0))
+        vals = np.array([divisibility_max("g", x, y, 1.0)
                          for x in row_xs])
         flips = np.flatnonzero(np.diff(np.sign(vals - 1.0)))
         star = float(mpmath.findroot(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rlmdual
+from rlmdual import cli
 from rlmdual.cli import main
 
 
@@ -168,8 +169,42 @@ class TestDivisibilityMap:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_json_writes_unbounded_as_inf(self, tmp_path):
+        # strict JSON has no Infinity: an unbounded dual maximum is the text "inf"
+        out = tmp_path / "map.json"
+        assert run(["divisibility-map", "--grid", "2,2", "--T-range", "0.05,0.5",
+                    "--format", "json", "--out", str(out)]) == 0
+        recs = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        assert [r["max_g_dual"] == "inf" for r in recs] == [False, True, False, False]
+        assert all(isinstance(r["max_g"], float) for r in recs)
+
+    def test_blocks_equal_row_by_row(self, tmp_path, monkeypatch):
+        # the default grid in blocks of rows (14,641 cells, 4 blocks) and one row per call
+        block, row = tmp_path / "block.csv", tmp_path / "row.csv"
+        assert run(["divisibility-map", "--out", str(block)]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+        assert run(["divisibility-map", "--out", str(row)]) == 0
+        assert block.read_bytes() == row.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--eps-range=1e10,1e10", "--T-range=1e10,1e10"])
+    def test_overflowing_cell_exits_two(self, flag, capsys):
+        # x gamma or y gamma past the largest float: one error line, no warning
+        assert run(["divisibility-map", "--gamma", "1e300", flag, "--grid", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: model parameters must be finite, the temperature positive\n"
+        assert captured.out == ""
+
 
 class TestFrequencyMap:
+    @pytest.mark.parametrize("which", ["exact", "semigroup-error", "slip-error"])
+    def test_blocks_equal_row_by_row(self, which, tmp_path, monkeypatch):
+        # the default 81x81 grid in two blocks of rows and one row per call
+        block, row = tmp_path / "block.csv", tmp_path / "row.csv"
+        assert run(["frequency-map", "--which", which, "--out", str(block)]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+        assert run(["frequency-map", "--which", which, "--out", str(row)]) == 0
+        assert block.read_bytes() == row.read_bytes()
+
     def test_pole_maxima_and_far_field(self, tmp_path):
         out = tmp_path / "freq.csv"
         assert run(["frequency-map", "--grid", "41,41", "--re-range=-1.5,1.5",
@@ -334,6 +369,20 @@ class TestErrors:
     def test_bad_range_exits_two(self, capsys):
         assert run(["dynamics", "--times", "oops"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["frequency-map", "--re-range=-1e308,1e308", "--grid", "3,3"],
+        ["divisibility-map", "--eps-range=-1e308,1e308"],
+        ["markov", "--eps-range=-1e308,1e308"],
+    ], ids=["frequency-map", "divisibility-map", "markov"])
+    def test_range_wider_than_double_exits_two(self, argv, tmp_path, capsys):
+        # hi - lo overflows: the range is rejected before a grid is spaced on it
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: range '-1e308,1e308' must have finite endpoints "
+                                "and a finite width\n")
+        assert captured.out == "" and not out.exists()
+
     def test_bad_rho0_exits_two(self):
         assert run(["dynamics", "--rho0", "not json"]) == 2
 
@@ -485,3 +534,31 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestTables:
+    @staticmethod
+    def per_value(header, rows):
+        """The table one value at a time, each number through f"{x:.17g}"."""
+        lines = [",".join(header)]
+        lines += [",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_one_format_matches_per_value(self):
+        cells = [0.0, -0.0, 5e-324, 1e308, math.inf, math.nan, 0.1 + 0.2, 2.0 ** 53, 2 ** 53,
+                 -1.5, "inf", "always", "never"]
+        rows = [cells[i:i + 3] for i in range(0, 12, 3)] + [[cells[12], 1.0, "50%"]]
+        assert cli._csv(["a", "b", "c"], rows) == self.per_value(["a", "b", "c"], rows)
+        assert cli._csv(["a", "b", "c"], rows).splitlines()[1:3] == [
+            "0,-0,4.9406564584124654e-324", "1e+308,inf,nan"]
+        assert cli._csv(["a"], []) == "a\n"
+
+    def test_one_format_matches_per_value_on_random_bits(self):
+        bits = np.random.default_rng(5).integers(0, 2 ** 63, 199_998, dtype=np.uint64)
+        bits[::2] |= np.uint64(1 << 63)   # both signs
+        values = np.concatenate([bits.view(np.float64), [math.inf, -math.inf, math.nan]])
+        rows = values.reshape(-1, 3).tolist()
+        got = cli._csv(["x", "y", "z"], rows).split("\n")
+        want = self.per_value(["x", "y", "z"], rows).split("\n")
+        assert len(got) == len(want) == 66_669
+        assert next((pair for pair in zip(got, want) if pair[0] != pair[1]), None) is None

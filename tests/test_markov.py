@@ -403,7 +403,8 @@ class TestRegularizedSlip:
     def test_probe_flag_is_the_dual_divergence_rule(self, ratio):
         th = ModelParams(0.5, 0.0, 1.0 / (ratio * math.pi), 1.0)
         _, diverges, _ = regularized_slip(th)
-        assert diverges == (divisibility_max("g_dual", th) == DIVERGES)
+        bound = divisibility_max("g_dual", th.detuning, th.temperature, th.gamma)
+        assert diverges == (bound == DIVERGES)
 
     def test_hot_limit_identity(self):
         matrix, _, _ = regularized_slip(HOT)

@@ -478,8 +478,9 @@ class TestObservables:
 
 class TestDivisibility:
     def test_resonance_zero(self):
-        assert divisibility_max("g", ModelParams(0.4, 0.4, 0.1, 1.0)) == 0.0
-        assert divisibility_max("g_dual", ModelParams(0.4, 0.4, 0.1, 1.0)) == 0.0
+        th = ModelParams(0.4, 0.4, 0.1, 1.0)
+        assert divisibility_max("g", th.detuning, th.temperature, th.gamma) == 0.0
+        assert divisibility_max("g_dual", th.detuning, th.temperature, th.gamma) == 0.0
 
     def test_scan_against_fine_oracle(self):
         th = ModelParams(2.0, 0.0, 0.1, 1.0)
@@ -490,23 +491,24 @@ class TestDivisibility:
         k[1:] = 2 * th.temperature * np.sin(th.detuning * ts[1:]) / np.sinh(x[1:])
         g = cumulative_simpson(np.exp(-0.5 * th.gamma * ts) * k, x=ts, initial=0.0)
         oracle = np.abs(g).max()
-        assert divisibility_max("g", th) == pytest.approx(oracle, abs=1e-5)
+        val = divisibility_max("g", th.detuning, th.temperature, th.gamma)
+        assert val == pytest.approx(oracle, abs=1e-5)
 
     def test_non_divisible_region_exists(self):
         # far off resonance at low temperature the maximum must exceed one
-        assert divisibility_max("g", ModelParams(5.0, 0.0, 0.05, 1.0)) > 1.0
+        assert divisibility_max("g", 5.0, 0.05, 1.0) > 1.0
 
     def test_dual_divergence_below_threshold(self):
         th = ModelParams(0.5, 0.0, 0.1, 1.0)  # T < gamma / (2 pi)
-        assert divisibility_max("g_dual", th) == DIVERGES
+        assert divisibility_max("g_dual", 0.5, 0.1, 1.0) == DIVERGES
         # the dual point itself has gamma < -2 pi T, and its g does grow
-        assert divisibility_max("g", th.dual()) == DIVERGES
+        assert divisibility_max("g", -0.5, 0.1, -1.0) == DIVERGES
         ts = np.linspace(0.0, 100.0, 2001)
         assert np.abs(model.g_of_t(ts, th.dual())).max() > 1e6
 
     def test_dual_bounded_above_threshold(self):
         th = ModelParams(0.5, 0.0, 0.3, 1.0)
-        val = divisibility_max("g_dual", th)
+        val = divisibility_max("g_dual", th.detuning, th.temperature, th.gamma)
         assert math.isfinite(val)
 
     def test_bounds_g_at_random_times(self):
@@ -519,15 +521,38 @@ class TestDivisibility:
             edge = -2.0 * math.pi * temp
             gamma = edge if rng.random() < 0.2 else rng.uniform(edge, 3.0)
             th = ModelParams(delta, 0.0, temp, gamma)
-            bound = divisibility_max("g", th)
+            bound = divisibility_max("g", delta, temp, gamma)
             assert math.isfinite(bound)
             ts = (math.pi / abs(delta)) * np.concatenate(
                 (rng.uniform(0.0, 12.0, 40), 10.0 ** rng.uniform(-3.0, 0.0, 10)))
             assert np.abs(model.g_of_t(ts, th)).max() <= bound + 1e-12
             # the dual of a point with gamma >= -2 pi T is bounded by the same rule
-            dual = ModelParams(-delta, 0.0, temp, -gamma)
-            assert divisibility_max("g_dual", dual) == bound
+            assert divisibility_max("g_dual", -delta, temp, -gamma) == bound
 
+    @pytest.mark.parametrize("which", ["g", "g_dual"])
+    def test_grid_equals_cellwise_calls(self, which):
+        # bit for bit: the delta = 0 column, the clamped T = 0 row, short-time
+        # cells (2 pi T pi/|delta| < 1/2, both Gs branches), and the rows where
+        # the dual diverges, 0.1552 to 0.1582 just below T = gamma/(2 pi) at
+        # gamma = 1; gamma = -0.5 makes g itself diverge on the two coldest rows
+        delta = np.array([0.0, 0.05, 0.15, 0.3, 1.0, 2.5, 10.0, -4.0])[:, None, None]
+        temp = np.array([1e-12, 0.02, 0.1552, 0.1567, 0.1582, 0.3, 3.0])[None, :, None]
+        gamma = np.array([1.0, 2.5, -0.5])[None, None, :]
+        grid = divisibility_max(which, delta, temp, gamma)
+        assert grid.shape == (8, 7, 3)
+        cells = np.broadcast_arrays(delta, temp, gamma)
+        each = np.array([divisibility_max(which, float(d), float(t), float(g))
+                         for d, t, g in zip(*(c.ravel() for c in cells))])
+        assert isinstance(each[0], float)
+        assert np.array_equal(grid.ravel(), each)
+        short = 2 * math.pi * cells[1] * math.pi < 0.5 * np.abs(cells[0])
+        assert short.sum() >= 5 and (grid == DIVERGES).sum() >= 5 and (grid == 0.0).sum() == 21
+
+    def test_cells_must_be_finite_with_positive_temperature(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            divisibility_max("g", np.array([1.0, np.inf]), 0.1, 1.0)
+        with pytest.raises(ValueError, match="temperature positive"):
+            divisibility_max("g", 1.0, np.array([0.1, 0.0]), 1.0)
 
 
 class TestPoleCatalog:

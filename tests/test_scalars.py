@@ -276,7 +276,7 @@ class TestClosedFormAgainstMpmath:
         mpmath = pytest.importorskip("mpmath")
         from rlmdual.model import divisibility_max
         th = ModelParams(1e-6, 0.0, 1e-12, 1.0)
-        val = divisibility_max("g", th)
+        val = divisibility_max("g", th.detuning, th.temperature, th.gamma)
         assert sum(gs_args) == 1
         d, temp = th.detuning, th.temperature
         with mpmath.workdps(20):
@@ -339,6 +339,17 @@ class TestClosedFormAgainstMpmath:
                 single = np.array([fn(float(t), th) for t in ts])
                 assert isinstance(fn(float(ts[1]), th), float)
                 assert np.abs(arr - single).max() <= 1e-15
+
+    def test_gs_value_does_not_depend_on_the_call(self):
+        # each argument is a one-row product of its own, so Gs(n, w) has the
+        # same bits whichever arguments share the call, on both branches
+        import rlmdual.scalars as scalars
+        rng = np.random.default_rng(11)
+        w = 10.0 ** rng.uniform(-1.0, 1.5, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+        assert (np.abs(w) <= 4.0).sum() > 80 and (np.abs(w) > 4.0).sum() > 80
+        whole = scalars._gs(w)
+        assert np.array_equal(whole, np.concatenate([scalars._gs(w[i:i + 1]) for i in range(300)]))
+        assert np.array_equal(whole, np.concatenate([scalars._gs(c) for c in np.array_split(w, 7)]))
 
     def test_stationary_limit_needs_net_decay(self):
         with pytest.raises(QuadratureError):
