@@ -32,12 +32,12 @@ from .scalars import (
     PoleError,
     _Cells,
     _g,
+    g_and_p,
     g_dual_of_t,
     g_of_t,
     g_stationary,
     k_hat,
     k_hat_pole_ladder,
-    p_from_g,
     weighted_kernel_grid,
 )
 
@@ -160,7 +160,7 @@ class RlmProvider:
 
     Every matrix-valued method takes a float, giving a 4x4 matrix, or a 1-D
     array, giving an (N,4,4) stack.  The scalars g, g_dual and p are memoized
-    per time (or per time array), and p is built from the memoized g, so
+    per time (or per time array), and p fills the memo of g as it goes, so
     repeated superoperator requests at the same times are cheap.  Memoized
     arrays are read-only.  The memo fills are idempotent, which keeps
     concurrent use safe.
@@ -190,7 +190,11 @@ class RlmProvider:
         return self._memoized("g_dual", t, lambda: g_dual_of_t(t, self.params))
 
     def p(self, t):
-        return self._memoized("p", t, lambda: p_from_g(t, self.g(t), self.params))
+        def compute():   # one call for both; its g has the bits of g_of_t
+            g, p = g_and_p(t, self.params)
+            self._memoized("g", t, lambda: g)
+            return p
+        return self._memoized("p", t, compute)
 
     def g_infinity(self) -> float:
         return g_stationary(self.params)
@@ -380,5 +384,7 @@ def divisibility_max(which: str, detuning, temperature, gamma):
     live = (delta != 0.0) & (gamma >= -2.0 * math.pi * temp)
     out = np.where(delta != 0.0, DIVERGES, 0.0)
     cell = _Cells(delta[live], temp[live], gamma[live])
-    out[live] = np.abs(_g(math.pi / np.abs(cell.detuning), cell))
+    with np.errstate(over="ignore"):   # |delta| < pi/DBL_MAX: t* = inf, where g is g_c
+        t_star = math.pi / np.abs(cell.detuning)
+    out[live] = np.abs(_g(t_star, cell))
     return float(out[0]) if cells[0].ndim == 0 else out.reshape(cells[0].shape)

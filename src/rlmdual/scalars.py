@@ -9,6 +9,7 @@ Laplace transform of ``k`` continued to the whole complex plane.  ``g``,
 ``g_dual`` and ``p`` take a float or a whole 1-D array of times and are
 quadrature free: an exponential series where 2 pi T t >= 1/2, and below it a
 series in pi T t whose terms are incomplete gamma functions in closed form.
+p's exponential series reuses g's exponentials, so :func:`g_and_p` gives both.
 
 Conventions: hbar = k_B = 1, all energies in the same unit, times in inverse
 energy.  The Laplace transform used throughout is ``f_hat(w) = int_0^inf dt
@@ -34,7 +35,7 @@ __all__ = [
     "g_tail",
     "g_dual_of_t",
     "g_stationary",
-    "p_from_g",
+    "g_and_p",
     "p_of_t",
     "digamma_complex",
     "k_hat",
@@ -165,29 +166,23 @@ def _times(t) -> tuple[np.ndarray, bool]:
     return ts, isinstance(t, (float, int)) or np.ndim(t) == 0
 
 
-def _piecewise(ts: np.ndarray, first: np.ndarray, f_first, f_second) -> np.ndarray:
-    """f_first(mask) where ``first`` holds, f_second(mask) at the other t > 0, 0 at t = 0."""
-    out = np.zeros_like(ts)
-    second = ~first & (ts > 0)
-    if first.any():
-        out[first] = f_first(first)
-    if second.any():
-        out[second] = f_second(second)
-    return out
-
-
 # a parameter point per time: arrays that the series below take in place of a ModelParams
 _Cells = namedtuple("_Cells", "detuning temperature gamma")
 
 
-def _series(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
-    """4T sum_n Im[exp(-(b_n + shift) t) / b_n] for 2 pi T t >= 1/2, cut at 2 pi T n t >= 40."""
+def _series(ts: np.ndarray, params: ModelParams):
+    """4T sum_n Im q_n, the terms q_n = e^{-b_n t}/b_n and the rates b_n, for 2 pi T t >= 1/2.
+
+    A fixed 82 terms, n = 0..81, at every time: the cut 2 pi T n t >= 40 only at
+    2 pi T t = 1/2; longer times also sum terms far below the double-precision floor.
+    """
     temp = params.temperature
     b = 0.5 * params.gamma + math.pi * temp - 1j * params.detuning
     if isinstance(params, _Cells):   # a series per time: the parameters as columns
         b, temp = b[:, None], temp[:, None]
     b = b + _TWO_PI * temp * np.arange(82)
-    return 4.0 * params.temperature * (np.exp(-ts[:, None] * (b + shift)) / b).imag.sum(axis=1)
+    q = np.exp(-ts[:, None] * b) / b
+    return 4.0 * params.temperature * q.imag.sum(axis=1), q, b
 
 
 def g_tail(t, params: ModelParams):
@@ -201,7 +196,7 @@ def g_tail(t, params: ModelParams):
     out = np.empty_like(ts)
     series = _TWO_PI * params.temperature * ts >= 0.5
     if series.any():
-        out[series] = -_series(ts[series], params)
+        out[series] = -_series(ts[series], params)[0]
     if not series.all():
         out[~series] = g_of_t(ts[~series], params) - _g_constant(params)
     return float(out[0]) if scalar else out
@@ -226,21 +221,21 @@ def _g_short(ts: np.ndarray, params: ModelParams) -> np.ndarray:
     return (2.0 / math.pi) * (gs * (x * _H)).imag.sum(axis=1)
 
 
-def _g(ts: np.ndarray, params: ModelParams, shift: float = 0.0) -> np.ndarray:
-    """exp(-shift t) g(t) at a 1-D array of times, ``params`` a ModelParams or _Cells."""
+def _g(ts: np.ndarray, params: ModelParams) -> np.ndarray:
+    """g at a 1-D array of times (0 at t = 0), ``params`` a ModelParams or _Cells."""
     cells = isinstance(params, _Cells)
     g_c = _g_constant.__wrapped__ if cells else _g_constant
 
     def at(m):
         return _Cells(*(v[m] for v in params)) if cells else params
 
-    def scaled(m, vals):
-        return vals * np.exp(-shift * ts[m]) if shift else vals
-
-    return _piecewise(
-        ts, _TWO_PI * params.temperature * ts >= 0.5,
-        lambda m: scaled(m, g_c(at(m))) - _series(ts[m], at(m), shift),
-        lambda m: scaled(m, _g_short(ts[m], at(m))))
+    out, long = np.zeros_like(ts), _TWO_PI * params.temperature * ts >= 0.5
+    short = ~long & (ts > 0)
+    if long.any():
+        out[long] = g_c(at(long)) - _series(ts[long], at(long))[0]
+    if short.any():
+        out[short] = _g_short(ts[short], at(short))
+    return out
 
 
 def g_dual_of_t(t, params: ModelParams):
@@ -296,40 +291,47 @@ def _p_small(ts: np.ndarray, params: ModelParams) -> np.ndarray:
     return out
 
 
-def p_from_g(t, g, params: ModelParams):
-    """p at times t (a float or a 1-D array) from g at the same times.
+def g_and_p(t, params: ModelParams):
+    """(g, p) at times t (a float or a 1-D array), p from g's own exponentials.
 
-    Uses ``(1 - exp(-gamma t)) p(t) = g(t) + exp(-gamma t) g_dual(t)`` where
-    |gamma t| >= 0.3; below that the identity cancels digits (1e-11 relative
-    at gamma t = 1e-2) and :func:`_p_small` integrates p directly.  For
-    gamma > 0, exp(-gamma t) g_dual(t) is formed in one piece (where 2 pi T t
-    >= 1/2 one series, exp(-gamma t) exp(-b'_n t) = exp(-conj(b_n) t)) and,
-    as it lies below (4 |delta| / (pi gamma)) exp(-gamma t/2), dropped past
-    gamma t = 80, before g_dual alone can overflow.  For gamma < 0 the
-    identity reads (exp(gamma t) g + g_dual) / (exp(gamma t) - 1).
+    p follows from (1 - e^{-gamma t}) p = g + e^{-gamma t} g_dual where |gamma t| >= 0.3;
+    below that the identity cancels digits and :func:`_p_small` integrates p directly.
+    Where 2 pi T t >= 1/2 the dual rates are b'_n = conj(b_n) - gamma, so with g's
+    E_n = e^{-b_n t} the right side is g_c + e^{-gamma t} g_c(dual) + 4T gamma
+    sum_n Im[E_n (1/b_n) (1/(b_n - gamma))], which cannot overflow; below it, for
+    gamma > 0, e^{-gamma t} g_dual < (4|delta|/(pi gamma)) e^{-gamma t/2} is dropped
+    past gamma t = 80, before g_dual alone overflows.
     """
     ts, scalar = _times(t)
-    if params.detuning == 0.0:
-        return 0.0 if scalar else np.zeros_like(ts)
-    gt = params.gamma * ts
-    g = np.broadcast_to(g, ts.shape)
-    dual = params.dual()
-
-    def identity(m):
-        if params.gamma < 0:
-            return (np.exp(gt[m]) * g[m] + _g(ts[m], dual)) / np.expm1(gt[m])
-        scaled = np.zeros(int(m.sum()))
-        near = gt[m] <= 80.0
-        scaled[near] = _g(ts[m][near], dual, params.gamma)
-        return (g[m] + scaled) / -np.expm1(-gt[m])
-
-    out = _piecewise(ts, np.abs(gt) >= 0.3, identity, lambda m: _p_small(ts[m], params))
-    return float(out[0]) if scalar else out
+    g, p, own, other = np.zeros((4,) + ts.shape)   # the identity: own + e^{-gamma t} other
+    if params.detuning:
+        temp, gam, dual = params.temperature, params.gamma, params.dual()
+        gt = gam * ts
+        ident, long = np.abs(gt) >= 0.3, _TWO_PI * temp * ts >= 0.5
+        if long.any():
+            tail, q, b = _series(ts[long], params)
+            g[long] = _g_constant(params) - tail
+            fused = (q * (1.0 / (b - gam))).imag.sum(axis=1)   # two reciprocals: no overflow
+            own[long] = _g_constant(params) + 4.0 * temp * gam * fused
+            other[long] = _g_constant(dual)
+        short = ~long & (ts > 0)
+        if short.any():
+            g[short] = own[short] = _g_short(ts[short], params)
+            near = short & ident & (gt <= 80.0)
+            other[near] = _g_short(ts[near], dual)
+        # for gamma < 0 the identity times e^{gamma t} is the dual point's, whose p is -p
+        lead, trail = (own, other) if gam > 0 else (other, own)
+        a, sign = np.abs(gt[ident]), math.copysign(1.0, gam)
+        p[ident] = sign * (lead[ident] + np.exp(-a) * trail[ident]) / -np.expm1(-a)
+        small = ~ident & (ts > 0)
+        if small.any():
+            p[small] = _p_small(ts[small], params)
+    return (float(g[0]), float(p[0])) if scalar else (g, p)
 
 
 def p_of_t(t, params: ModelParams):
-    """Doubly averaged kernel function entering the propagator (see :func:`p_from_g`)."""
-    return p_from_g(t, g_of_t(t, params), params)
+    """Doubly averaged kernel function entering the propagator (see :func:`g_and_p`)."""
+    return g_and_p(t, params)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,20 @@ class TestDivisibilityMap:
         assert run(["divisibility-map", "--out", str(row)]) == 0
         assert block.read_bytes() == row.read_bytes()
 
+    def test_subnormal_detuning_is_warning_free(self, tmp_path):
+        # pi/|delta| overflows below |delta| = pi/DBL_MAX: the first lobe of g never
+        # closes, and the maximum is the limit g_c; a RuntimeWarning fails the run
+        from rlmdual.scalars import ModelParams, g_stationary
+        out = tmp_path / "map.csv"
+        assert run(["divisibility-map", "--eps-range", "1e-320,1e-320", "--grid", "1,2",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[3] == "inf" for r in rows] == [True, False]
+        for x, y, max_g, max_g_dual in rows:
+            th = ModelParams(float(x), 0.0, float(y), 1.0)
+            assert float(max_g) == abs(g_stationary(th)) > 0.0
+        assert float(max_g_dual) == abs(g_stationary(th.dual())) > 0.0
+
     @pytest.mark.parametrize("flag", ["--eps-range=1e10,1e10", "--T-range=1e10,1e10"])
     def test_overflowing_cell_exits_two(self, flag, capsys):
         # x gamma or y gamma past the largest float: one error line, no warning

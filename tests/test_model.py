@@ -32,7 +32,7 @@ from rlmdual.model import (
     divisibility_max,
     pole_catalog,
 )
-from rlmdual.scalars import ModelParams, PoleError, k_hat
+from rlmdual.scalars import ModelParams, PoleError, g_of_t, k_hat
 
 from oracles import dyson_resolvent, pole_growth
 
@@ -200,21 +200,33 @@ class TestPropagatorStack:
         for x, mat in zip(points, stack):
             assert np.abs(mat - getattr(RlmProvider(th), method)(x.item())).max() <= 1e-15
 
-    def test_p_served_from_memoized_g(self, monkeypatch):
-        calls = {"g_of_t": [], "g_dual_of_t": []}
-        for name, real in (("g_of_t", model.g_of_t), ("g_dual_of_t", model.g_dual_of_t)):
+    def test_g_and_p_from_one_call(self, monkeypatch):
+        calls = {"g_and_p": [], "g_of_t": [], "g_dual_of_t": []}
+        for name in calls:
             monkeypatch.setattr(model, name,
-                                lambda t, th, name=name, real=real:
+                                lambda t, th, name=name, real=getattr(model, name):
                                 calls[name].append(t) or real(t, th))
         pr = RlmProvider(TH)
         ts = np.linspace(0.0, 5.0, 11)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-        pr.occupation(ts, rho0)     # p(ts) computes g(ts) once
+        pr.occupation(ts, rho0)     # p(ts) computes g(ts) with it
         pr.current(ts, rho0)        # served from the memo
         pr.current(0.4, rho0)
         pr.p(0.4)
-        assert len(calls["g_of_t"]) == 2
-        assert calls["g_dual_of_t"] == []   # p folds e^{-gamma t} g_dual(t) into one series
+        assert len(calls["g_and_p"]) == 2
+        assert calls["g_of_t"] == []
+        assert calls["g_dual_of_t"] == []   # p takes e^{-gamma t} g_dual(t) from g's exponentials
+
+    @pytest.mark.parametrize("th", [TH, TH.dual(), ModelParams(0.7, 0.2, 1e-3, 0.5)],
+                             ids=["theta", "dual", "low_T"])
+    def test_memoized_g_from_p_is_g_of_t(self, th):
+        # both sides of 2 pi T t = 1/2 and of |gamma t| = 0.3, bit for bit
+        ts = np.array([0.0, 0.01, 0.3, 0.6, 0.64, 2.0, 9.0, 200.0])
+        pr = RlmProvider(th)
+        pr.p(ts)
+        assert np.array_equal(pr.g(ts), g_of_t(ts, th))
+        pr.p(0.64)
+        assert pr.g(0.64) == g_of_t(0.64, th)
 
 
 class TestKrausSet:

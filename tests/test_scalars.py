@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rlmdual.scalars import (
     ModelParams,
     PoleError,
     digamma_complex,
+    g_and_p,
     g_dual_of_t,
     g_of_t,
     g_stationary,
@@ -271,6 +273,27 @@ class TestClosedFormAgainstMpmath:
             for val, ref in ((g[i], rg), (gd[i], rd), (p[i], rp)):
                 assert abs(val - float(ref)) <= 1e-12 * abs(float(ref)), (th, t)
 
+    @pytest.mark.parametrize("th, t", [
+        # both sides of |gamma t| = 0.3 past 2 pi T t = 1/2, for both signs of gamma
+        *[pytest.param(ModelParams(0.7, 0.0, 1.0, g), (0.3 + d) / abs(g), id=f"gt_0.3{d:+g}_g{g:+g}")
+          for g in (0.5, -0.5) for d in (-1e-9, 1e-9)],
+        # both sides of 2 pi T t = 1/2 at |gamma t| >= 0.3
+        *[pytest.param(ModelParams(0.5, 0.0, 0.25, g), (0.5 + d) / (0.5 * math.pi),
+                       id=f"2piTt_0.5{d:+g}_g{g:+g}") for g in (1.0, -1.0) for d in (-1e-9, 1e-9)],
+        # gamma t around the short-time drop at 80 and at 700, past and below 2 pi T t = 1/2
+        *[pytest.param(ModelParams(0.5, 0.0, temp, g), gt / abs(g), id=f"gt_{gt:g}_g{g:+g}_T{temp:g}")
+          for temp in (2.0, 1e-3) for g in (10.0, -10.0) for gt in (79.9, 80.1, 700.0)],
+        # gamma < -2 pi T: Re b_0 < 0, so g's exponentials grow
+        pytest.param(ModelParams(0.5, 0.0, 0.5, -5.0), 2.0, id="re_b0_negative"),
+    ])
+    def test_p_from_g_exponentials(self, th, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            rg, rd = mp_g(mpmath, t, th, 8), mp_g(mpmath, t, th.dual(), 8)
+            decay = mpmath.exp(-th.gamma * t)
+            rp = float((rg + decay * rd) / (1 - decay))
+        assert abs(p_of_t(t, th) - rp) <= 1e-12 * abs(rp)
+
     def test_divisibility_max_at_low_temperature(self, gs_args):
         # g(pi/delta) with gamma t = 3e6 and T = 1e-12: one series, not 1.5 s of panels
         mpmath = pytest.importorskip("mpmath")
@@ -330,6 +353,20 @@ class TestClosedFormAgainstMpmath:
             ref = float(mpmath.quad(f, mpmath.linspace(0, span, int(d * span / math.pi) + 2)))
         assert np.isfinite(p).all()
         assert np.abs(p - ref).max() <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("gam", [1.0, -1.0])
+    def test_detuning_past_any_scale(self, gam):
+        # p's terms E_n (1/b_n) (1/(b_n - gamma)) at |delta| = 1e300 stay warning-free:
+        # as one product 1/(b_n (b_n - gamma)) they overflow.  As |delta| -> inf,
+        # g and p tend to sign(delta) at every t > 0
+        ts = np.array([0.0, 0.1, 0.5, 2.0, 30.0])
+        for eps in (1e300, -1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g, p = g_and_p(ts, ModelParams(eps, 0.0, 0.25, gam))
+            assert g[0] == p[0] == 0.0
+            assert np.abs(g[1:] - math.copysign(1.0, eps)).max() <= 1e-12
+            assert np.abs(p[1:] - math.copysign(1.0, eps)).max() <= 1e-12
 
     def test_array_entries_equal_float_calls(self):
         for th in ORACLE_THETAS + [ModelParams(0.7, 0.0, 0.3, 1e-9)]:
