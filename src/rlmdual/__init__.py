@@ -4,7 +4,6 @@ from .scalars import (
     ModelParams,
     QuadratureError,
     PoleError,
-    k_of_t,
     g_of_t,
     g_dual_of_t,
     g_stationary,
@@ -25,11 +24,8 @@ from .liouville import (
     dissipator,
     parity_superop,
     choi_of,
-    superop_from_choi,
     choi_duality_transform,
-    is_tp,
     is_cp,
-    is_hermiticity_preserving,
     spectral_decompose,
     SpectralDecomposition,
     canonical_kraus,

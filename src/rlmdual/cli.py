@@ -169,16 +169,16 @@ def cmd_divisibility_map(args) -> int:
     y_lo, y_hi = _parse_range(args.T_range)
     ys = np.linspace(y_lo, y_hi, ny)
     gamma = args.gamma
-    if not gamma > 0.0:
-        raise ValueError("--gamma must be positive: the axes are in units of gamma")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("--gamma must be positive and finite: the axes are in units of gamma")
     if min(y_lo, y_hi) < 0.0:
         raise ValueError("--T-range endpoints must be nonnegative")
     rows = []
     for block in _row_blocks(ys, nx):
         x, y = (v.ravel() for v in np.meshgrid(xs, block))
         with np.errstate(over="ignore"):   # divisibility_max rejects an inf cell
-            # T = 0 is evaluated at 1e-12, where g already equals its T -> 0 limit
-            delta, temp = x * gamma, np.maximum(y * gamma, 1e-12)
+            # T/gamma = 0 is evaluated at 1e-12, where g already equals its T -> 0 limit
+            delta, temp = x * gamma, np.maximum(y, 1e-12) * gamma
         rows += np.column_stack([x, y] + [divisibility_max(which, delta, temp, gamma)
                                           for which in ("g", "g_dual")]).tolist()
     header = ["eps_minus_mu_over_gamma", "T_over_gamma", "max_g", "max_g_dual"]

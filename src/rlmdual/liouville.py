@@ -31,15 +31,11 @@ __all__ = [
     "commutator_superop",
     "anticommutator_superop",
     "dissipator",
-    "dissipator_heisenberg",
     "parity_superop",
     "choi_of",
-    "superop_from_choi",
     "bipartite_ket_one",
     "bipartite_to_operator",
     "choi_duality_transform",
-    "is_tp",
-    "is_hermiticity_preserving",
     "is_cp",
     "is_parity_covariant",
     "SpectralMode",
@@ -138,11 +134,6 @@ def dissipator(j: np.ndarray) -> np.ndarray:
     return np.kron(j.conj(), j) - 0.5 * anticommutator_superop(jdj)
 
 
-def dissipator_heisenberg(j: np.ndarray) -> np.ndarray:
-    """X -> j X j^dag - {j j^dag, X}/2 (unit-annihilating), the superadjoint of D(j^dag)."""
-    return superadjoint(dissipator(np.asarray(j).conj().T))
-
-
 def parity_superop(parity_op: np.ndarray) -> np.ndarray:
     """Left multiplication with the fermion parity operator."""
     return lmul(parity_op)
@@ -158,14 +149,6 @@ def choi_of(s: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(s.shape[-1])))
     return np.einsum("...ijkl->...jlik", s.reshape(s.shape[:-2] + (d,) * 4)) \
         .reshape(s.shape).copy()
-
-
-def superop_from_choi(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`choi_of`."""
-    c = np.asarray(c)
-    d2 = c.shape[0]
-    d = int(round(np.sqrt(d2)))
-    return c.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2).copy()
 
 
 def bipartite_ket_one(dim: int) -> np.ndarray:
@@ -192,19 +175,6 @@ def choi_duality_transform(c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
-
-def is_tp(s: np.ndarray, tol: float = 1e-10) -> bool:
-    """Trace preservation: <1| s = <1|."""
-    s = np.asarray(s)
-    d = int(round(np.sqrt(s.shape[0])))
-    one = vectorize(np.eye(d))
-    return bool(np.abs(s.conj().T @ one - one).max() <= tol)
-
-
-def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
-    c = choi_of(s)
-    return bool(np.abs(c - c.conj().T).max() <= tol)
-
 
 def is_cp(s: np.ndarray, tol: float = 1e-9):
     """Complete positivity witness: (verdict, smallest Choi eigenvalue).
@@ -350,14 +320,6 @@ class JumpSet:
         """The same rates and Hamiltonian with every J replaced by J^dag."""
         return JumpSet(self.effective_hamiltonian,
                        tuple(replace(t, operator=t.operator.conj().T) for t in self.terms))
-
-    def heisenberg_generator(self) -> np.ndarray:
-        """Rebuild G^H from i G^H = i[H, .] + sum_a j_a D^H(J_a).
-
-        D^H(J) = D(J^dag)^sadj, so G^H is the superadjoint of the
-        Schroedinger generator of the daggered set.
-        """
-        return superadjoint(self._daggered().generator())
 
 
 def _parity_sector_bases(parity_op: np.ndarray):

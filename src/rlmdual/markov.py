@@ -23,7 +23,6 @@ __all__ = [
     "ALWAYS",
     "NEVER",
     "PoleCollisionError",
-    "stationary_generator",
     "semigroup_propagator",
     "semigroup_propagator_hat",
     "slip_operator",
@@ -51,10 +50,6 @@ def __getattr__(name):
 
 class PoleCollisionError(ValueError):
     """Two stationary eigenvalues coincide; the slip is defined at distinct ones."""
-
-
-def stationary_generator(params: ModelParams) -> np.ndarray:
-    return RlmProvider(params).generator_stationary()
 
 
 def semigroup_propagator(t, params: ModelParams) -> np.ndarray:

@@ -1,39 +1,28 @@
-"""Closed-form resonant-level dynamics in all five representations.
+"""Closed-form resonant-level dynamics: the propagator, generator and kernel.
 
 A single fermionic level (basis |0>, |1>, d = 2) tunnel-coupled to one
-wide-band reservoir.  The provider evaluates the finite-time propagator, its
-spectral and measurement-operator forms, the time-local generator with its
-jump expansion, the time-nonlocal kernel with its Laplace transform, the
+wide-band reservoir.  The provider evaluates the finite-time propagator, the
+time-local generator, the time-nonlocal kernel with its Laplace transform, the
 frequency-domain propagator, observables, divisibility diagnostics and the
-pole catalog of the resolvent.
+pole catalog of the resolvent.  The spectral, measurement-operator (Kraus)
+and jump forms come from one path each: ``liouville``'s decompositions applied
+to these superoperators.
 """
 
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import (
-    SpectralDecomposition,
-    SpectralMode,
-    JumpSet,
-    JumpTerm,
-    KrausSet,
-    KrausTerm,
-    commutator_superop,
-    dissipator,
-    vectorize,
-)
+from .liouville import commutator_superop, dissipator, vectorize
 from .scalars import (
     ModelParams,
     PoleError,
     _Cells,
     _g,
     g_and_p,
-    g_dual_of_t,
     g_of_t,
     g_stationary,
     k_hat,
@@ -42,13 +31,11 @@ from .scalars import (
 )
 
 __all__ = [
-    "DIM",
     "ANNIHILATOR",
     "CREATOR",
     "NUMBER_OP",
     "PARITY_OP",
     "IDENTITY_OP",
-    "d_eta",
     "mode_stack",
     "mode_hat",
     "RlmProvider",
@@ -57,9 +44,6 @@ __all__ = [
     "DIVERGES",
     "divisibility_max",
 ]
-
-DIM = 2
-
 
 def __getattr__(name):
     # scipy.linalg loads only when a tracer looks up ``expm`` to wrap it
@@ -83,11 +67,6 @@ _DISS_DIFF = _DISS_PLUS - _DISS_MINUS
 _VEC_NUMBER = vectorize(NUMBER_OP)
 
 
-def d_eta(eta: int) -> np.ndarray:
-    """d_+ = creation, d_- = annihilation."""
-    return CREATOR if eta > 0 else ANNIHILATOR
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(vectorize(a), vectorize(b).conj())
 
@@ -101,17 +80,6 @@ _MODE_BASIS = np.array([
     0.5 * _outer(PARITY_OP, PARITY_OP),
     _outer(PARITY_OP, IDENTITY_OP),
 ]).reshape(5, 16)
-
-
-def _closed_modes(values, s: float) -> SpectralDecomposition:
-    """Modes of exp(-i G t) or G for the generator with parity scalar s."""
-    modes = (
-        SpectralMode(values[0], 0.5 * (IDENTITY_OP + s * PARITY_OP), IDENTITY_OP),
-        SpectralMode(values[1], ANNIHILATOR, ANNIHILATOR),
-        SpectralMode(values[2], CREATOR, CREATOR),
-        SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - s * IDENTITY_OP)),
-    )
-    return SpectralDecomposition(modes)
 
 
 def _generator_eigenvalues(params: ModelParams) -> np.ndarray:
@@ -159,8 +127,8 @@ class RlmProvider:
     """All representations of the level dynamics at one parameter point.
 
     Every matrix-valued method takes a float, giving a 4x4 matrix, or a 1-D
-    array, giving an (N,4,4) stack.  The scalars g, g_dual and p are memoized
-    per time (or per time array), and p fills the memo of g as it goes, so
+    array, giving an (N,4,4) stack.  The scalars g and p are memoized per
+    time (or per time array), and p fills the memo of g as it goes, so
     repeated superoperator requests at the same times are cheap.  Memoized
     arrays are read-only.  The memo fills are idempotent, which keeps
     concurrent use safe.
@@ -186,9 +154,6 @@ class RlmProvider:
     def g(self, t):
         return self._memoized("g", t, lambda: g_of_t(t, self.params))
 
-    def g_dual(self, t):
-        return self._memoized("g_dual", t, lambda: g_dual_of_t(t, self.params))
-
     def p(self, t):
         def compute():   # one call for both; its g has the bits of g_of_t
             g, p = g_and_p(t, self.params)
@@ -204,33 +169,6 @@ class RlmProvider:
     def propagator(self, t) -> np.ndarray:
         """exp(-i[H,.]t + (Gamma t/2) sum_eta [1 - eta p(t)] D_eta) from its modes."""
         return mode_stack(t, self.params, self.p(t))
-
-    def propagator_spectral(self, t: float) -> SpectralDecomposition:
-        """Closed-form eigenmodes of the propagator."""
-        values = np.exp(-1j * t * _generator_eigenvalues(self.params))
-        return _closed_modes(values, self.p(t))
-
-    def kraus_set(self, t: float) -> KrausSet:
-        """Closed-form canonical measurement operators and coefficients."""
-        gamma = self.params.gamma
-        eps = self.params.epsilon
-        p = self.p(t)
-        gt = gamma * t
-        sh = math.sinh(0.5 * gt)
-        ch = math.cosh(0.5 * gt)
-        root = math.sqrt(1.0 + (p * sh) ** 2)
-        phase = cmath.exp(0.5j * eps * t)
-        terms = []
-        for eta in (1, -1):
-            m0 = math.exp(-0.5 * gt) * (ch + eta * root)
-            ups_eta = 0.5 + 0.5 * eta * p * sh / root
-            ups_meta = 0.5 - 0.5 * eta * p * sh / root
-            op0 = (eta * math.sqrt(ups_eta) * phase) * (ANNIHILATOR @ CREATOR) \
-                + (math.sqrt(ups_meta) / phase) * NUMBER_OP
-            terms.append(KrausTerm(float(m0), op0, 1))
-            m1 = 0.5 * (-math.expm1(-gt)) * (1.0 - eta * p)
-            terms.append(KrausTerm(float(m1), d_eta(eta), -1))
-        return KrausSet(tuple(terms))
 
     # -- time-local generator -----------------------------------------------
 
@@ -248,9 +186,6 @@ class RlmProvider:
     def _generator_from_g(self, g) -> np.ndarray:
         gamma = self.params.gamma
         return self._liouvillian + 0.5j * gamma * (_DISS_SUM - np.multiply.outer(g, _DISS_DIFF))
-
-    def generator_spectral(self, t: float) -> SpectralDecomposition:
-        return _closed_modes(_generator_eigenvalues(self.params), self.g(t))
 
     # -- time-nonlocal kernel -----------------------------------------------
 
@@ -274,23 +209,6 @@ class RlmProvider:
     def propagator_hat(self, e) -> np.ndarray:
         """Closed-form resolvent: :func:`mode_hat` with s = k_hat(E + i gamma/2)."""
         return mode_hat(e, self.params, k_hat(e + 0.5j * self.params.gamma, self.params))
-
-    # -- jump layer -----------------------------------------------------------
-
-    def jump_set(self, t: float) -> JumpSet:
-        gamma = self.params.gamma
-        g = self.g(t)
-        terms = tuple(
-            JumpTerm(0.5 * gamma * (1.0 - eta * g), d_eta(eta), -1)
-            for eta in (1, -1)
-        )
-        return JumpSet(self.hamiltonian.copy(), terms)
-
-    def heisenberg_jump_rates(self, t: float) -> tuple[float, float]:
-        """(j_+^H, j_-^H) = (Gamma/2)(1 -+ g_dual(t))."""
-        gamma = self.params.gamma
-        gd = self.g_dual(t)
-        return 0.5 * gamma * (1.0 - gd), 0.5 * gamma * (1.0 + gd)
 
     # -- observables ----------------------------------------------------------
 
@@ -323,10 +241,6 @@ class RlmProvider:
         gt = gamma * np.asarray(t, float)
         out = 0.5 * gamma * (-np.expm1(-gt) * self.p(t) - self.g(t) + np.exp(-gt) * par0)
         return float(out) if out.ndim == 0 else out
-
-    def stationary_state(self) -> np.ndarray:
-        """Fixed point at t -> infinity: (1 + g_inf * parity) / 2."""
-        return 0.5 * (IDENTITY_OP + self.g_infinity() * PARITY_OP)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ __all__ = [
     "ModelParams",
     "QuadratureError",
     "PoleError",
-    "k_of_t",
     "g_of_t",
-    "g_tail",
     "g_dual_of_t",
     "g_stationary",
     "g_and_p",
@@ -95,13 +93,6 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # the kernel amplitude k and its weighted variants
 # ---------------------------------------------------------------------------
-
-def k_of_t(t: float, params: ModelParams) -> float:
-    """Kernel amplitude 2 T sin(delta t) / sinh(pi T t), delta = eps - mu."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return float(weighted_kernel_grid(t, params, 0.0))
-
 
 def weighted_kernel_grid(ts: np.ndarray, params: ModelParams, decay: float) -> np.ndarray:
     """exp(decay*t) * k(t) = 4T sin(delta t) e^{(decay - pi T) t} / (1 - e^{-2 pi T t}).
@@ -185,30 +176,16 @@ def _series(ts: np.ndarray, params: ModelParams):
     return 4.0 * params.temperature * q.imag.sum(axis=1), q, b
 
 
-def g_tail(t, params: ModelParams):
-    """g(t) - g_c, with g_c the constant of :func:`g_stationary` continued to every gamma.
-
-    From 1/sinh x = 2 sum_n exp(-(2n+1) x) it is -4T sum_n Im[exp(-b_n t) / b_n],
-    b_n = gamma/2 + (2n+1) pi T - i delta, accurate even far below g_c; times
-    with 2 pi T t < 1/2 take g(t) - g_c.
-    """
-    ts, scalar = _times(t)
-    out = np.empty_like(ts)
-    series = _TWO_PI * params.temperature * ts >= 0.5
-    if series.any():
-        out[series] = -_series(ts[series], params)[0]
-    if not series.all():
-        out[~series] = g_of_t(ts[~series], params) - _g_constant(params)
-    return float(out[0]) if scalar else out
-
-
 def g_of_t(t, params: ModelParams):
     """Integral of exp(-gamma s / 2) k(s) over [0, t]; t a float or a 1-D array.
 
-    Closed form g_c + :func:`g_tail` where 2 pi T t >= 1/2; below that the
-    series converges slowly and loses digits to cancellation, and with
-    k(s) = (2/pi) Im(e^{i delta s})/s h(pi T s) the integral is
-    (2/pi) Im sum_k c_k (pi T t)^{2k} Gs(2k, (gamma/2 - i delta) t) instead.
+    Where 2 pi T t >= 1/2, 1/sinh x = 2 sum_n exp(-(2n+1) x) gives the closed
+    form g_c - 4T sum_n Im[exp(-b_n t) / b_n], b_n = gamma/2 + (2n+1) pi T -
+    i delta, with g_c the constant of :func:`g_stationary` continued to every
+    gamma.  Below that the series converges slowly and loses digits to
+    cancellation; with k(s) = (2/pi) Im(e^{i delta s})/s h(pi T s) the
+    integral is (2/pi) Im sum_k c_k (pi T t)^{2k} Gs(2k, (gamma/2 - i delta) t)
+    instead.
     """
     ts, scalar = _times(t)
     out = _g(ts, params) if params.detuning else np.zeros_like(ts)

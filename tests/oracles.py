@@ -1,21 +1,213 @@
-"""Second constructions of the slip, the resolvent, the pole catalog, G_inf and the CP onset.
+"""Second paths that the tests compare with the package's one production path.
 
-The package builds each of these quantities one way, in closed form.  The
-functions here build them another way (contour residues, a regularized
-Laplace transform, growth on shrinking circles, the Dyson inverse, a
-similarity transform, time-domain quadrature of the memory kernel and a
-Choi-eigenvalue scan) so that the tests can compare the two.
+The package builds each representation and each derived quantity one way.
+The first group here restates closed forms that the package reaches through
+its general machinery instead: the spectral, measurement-operator (Kraus) and
+jump forms of the propagator and generator, which the package takes from
+``liouville``'s decompositions; the Heisenberg jump rates; the stationary
+state and generator; the tail g - g_inf as its exponential series; the kernel
+amplitude k(t); and the Choi inverse, the trace-preservation and
+Hermiticity-preservation predicates, the Heisenberg dissipator and the
+Heisenberg generator of a jump set.  The second group builds the slip, the
+resolvent, the pole catalog, G_inf and the CP onset another way (contour
+residues, a regularized Laplace transform, growth on shrinking circles, the
+Dyson inverse, a similarity transform, time-domain quadrature of the memory
+kernel and a Choi-eigenvalue scan).
 """
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from rlmdual.liouville import dissipator, is_cp, spectral_decompose, superadjoint, vectorize
-from rlmdual.markov import ALWAYS, NEVER, slip_operator, stationary_generator
-from rlmdual.model import ANNIHILATOR, CREATOR, RlmProvider, mode_stack, pole_catalog
-from rlmdual.scalars import ModelParams, g_stationary, g_tail, weighted_kernel_grid
+from rlmdual.liouville import (
+    JumpSet,
+    JumpTerm,
+    KrausSet,
+    KrausTerm,
+    SpectralDecomposition,
+    SpectralMode,
+    choi_of,
+    dissipator,
+    is_cp,
+    spectral_decompose,
+    superadjoint,
+    vectorize,
+)
+from rlmdual.markov import ALWAYS, NEVER, slip_operator
+from rlmdual.model import (
+    ANNIHILATOR,
+    CREATOR,
+    IDENTITY_OP,
+    NUMBER_OP,
+    PARITY_OP,
+    RlmProvider,
+    mode_stack,
+    pole_catalog,
+)
+from rlmdual.scalars import (
+    ModelParams,
+    g_dual_of_t,
+    g_of_t,
+    g_stationary,
+    k_hat,
+    weighted_kernel_grid,
+)
 
+
+# ---------------------------------------------------------------------------
+# closed forms of the representations
+# ---------------------------------------------------------------------------
+
+def _d_eta(eta: int) -> np.ndarray:
+    """d_+ = creation, d_- = annihilation."""
+    return CREATOR if eta > 0 else ANNIHILATOR
+
+
+def _closed_modes(values, s: float) -> SpectralDecomposition:
+    """Modes of exp(-i G t) or G for the generator with parity scalar s."""
+    modes = (
+        SpectralMode(values[0], 0.5 * (IDENTITY_OP + s * PARITY_OP), IDENTITY_OP),
+        SpectralMode(values[1], ANNIHILATOR, ANNIHILATOR),
+        SpectralMode(values[2], CREATOR, CREATOR),
+        SpectralMode(values[3], PARITY_OP, 0.5 * (PARITY_OP - s * IDENTITY_OP)),
+    )
+    return SpectralDecomposition(modes)
+
+
+def _generator_eigenvalues(params: ModelParams) -> np.ndarray:
+    """0, -eps - i gamma/2, eps - i gamma/2 and -i gamma: the isolated poles."""
+    return np.array(pole_catalog(params, 0).isolated)
+
+
+def propagator_spectral(provider: RlmProvider, t: float) -> SpectralDecomposition:
+    """Closed-form eigenmodes of the propagator."""
+    values = np.exp(-1j * t * _generator_eigenvalues(provider.params))
+    return _closed_modes(values, provider.p(t))
+
+
+def generator_spectral(provider: RlmProvider, t: float) -> SpectralDecomposition:
+    """Closed-form eigenmodes of the time-local generator."""
+    return _closed_modes(_generator_eigenvalues(provider.params), provider.g(t))
+
+
+def kraus_set(provider: RlmProvider, t: float) -> KrausSet:
+    """Closed-form canonical measurement operators and coefficients of the propagator."""
+    gamma = provider.params.gamma
+    eps = provider.params.epsilon
+    p = provider.p(t)
+    gt = gamma * t
+    sh = math.sinh(0.5 * gt)
+    ch = math.cosh(0.5 * gt)
+    root = math.sqrt(1.0 + (p * sh) ** 2)
+    phase = cmath.exp(0.5j * eps * t)
+    terms = []
+    for eta in (1, -1):
+        m0 = math.exp(-0.5 * gt) * (ch + eta * root)
+        ups_eta = 0.5 + 0.5 * eta * p * sh / root
+        ups_meta = 0.5 - 0.5 * eta * p * sh / root
+        op0 = (eta * math.sqrt(ups_eta) * phase) * (ANNIHILATOR @ CREATOR) \
+            + (math.sqrt(ups_meta) / phase) * NUMBER_OP
+        terms.append(KrausTerm(float(m0), op0, 1))
+        m1 = 0.5 * (-math.expm1(-gt)) * (1.0 - eta * p)
+        terms.append(KrausTerm(float(m1), _d_eta(eta), -1))
+    return KrausSet(tuple(terms))
+
+
+def jump_set(provider: RlmProvider, t: float) -> JumpSet:
+    """Closed-form jump expansion of the generator: rates (Gamma/2)(1 -+ g(t))."""
+    gamma = provider.params.gamma
+    g = provider.g(t)
+    terms = tuple(JumpTerm(0.5 * gamma * (1.0 - eta * g), _d_eta(eta), -1) for eta in (1, -1))
+    return JumpSet(provider.hamiltonian.copy(), terms)
+
+
+def heisenberg_jump_rates(provider: RlmProvider, t: float) -> tuple[float, float]:
+    """(j_+^H, j_-^H) = (Gamma/2)(1 -+ g_dual(t))."""
+    gamma = provider.params.gamma
+    gd = g_dual_of_t(t, provider.params)
+    return 0.5 * gamma * (1.0 - gd), 0.5 * gamma * (1.0 + gd)
+
+
+def stationary_state(params: ModelParams) -> np.ndarray:
+    """Fixed point at t -> infinity: (1 + g_inf * parity) / 2."""
+    return 0.5 * (IDENTITY_OP + g_stationary(params) * PARITY_OP)
+
+
+def stationary_generator(params: ModelParams) -> np.ndarray:
+    return RlmProvider(params).generator_stationary()
+
+
+def k_of_t(t: float, params: ModelParams) -> float:
+    """Kernel amplitude 2 T sin(delta t) / sinh(pi T t), delta = eps - mu."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    return float(weighted_kernel_grid(t, params, 0.0))
+
+
+def g_tail(t, params: ModelParams):
+    """g(t) - g_c, with g_c = Re k_hat(i gamma/2) the constant of g_stationary continued.
+
+    From 1/sinh x = 2 sum_n exp(-(2n+1) x) it is -4T sum_n Im[exp(-b_n t) / b_n],
+    b_n = gamma/2 + (2n+1) pi T - i delta for n < 82, accurate even far below
+    g_c; times with 2 pi T t < 1/2 take g(t) - g_c.
+    """
+    ts = np.array(t, dtype=float, ndmin=1)
+    temp = params.temperature
+    g_c = k_hat(0.5j * params.gamma, params).real
+    out = np.empty_like(ts)
+    series = 2.0 * math.pi * temp * ts >= 0.5
+    if series.any():
+        b = 0.5 * params.gamma + math.pi * temp - 1j * params.detuning \
+            + 2.0 * math.pi * temp * np.arange(82)
+        q = np.exp(-ts[series, None] * b) / b
+        out[series] = -4.0 * temp * q.imag.sum(axis=1)
+    if not series.all():
+        out[~series] = g_of_t(ts[~series], params) - g_c
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def superop_from_choi(c: np.ndarray) -> np.ndarray:
+    """Inverse of ``choi_of``."""
+    c = np.asarray(c)
+    d2 = c.shape[0]
+    d = int(round(np.sqrt(d2)))
+    return c.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2).copy()
+
+
+def is_tp(s: np.ndarray, tol: float = 1e-10) -> bool:
+    """Trace preservation: <1| s = <1|."""
+    s = np.asarray(s)
+    d = int(round(np.sqrt(s.shape[0])))
+    one = vectorize(np.eye(d))
+    return bool(np.abs(s.conj().T @ one - one).max() <= tol)
+
+
+def is_hermiticity_preserving(s: np.ndarray, tol: float = 1e-10) -> bool:
+    c = choi_of(s)
+    return bool(np.abs(c - c.conj().T).max() <= tol)
+
+
+def dissipator_heisenberg(j: np.ndarray) -> np.ndarray:
+    """X -> j X j^dag - {j j^dag, X}/2 (unit-annihilating), the superadjoint of D(j^dag)."""
+    return superadjoint(dissipator(np.asarray(j).conj().T))
+
+
+def heisenberg_generator(jumps: JumpSet) -> np.ndarray:
+    """Rebuild G^H from i G^H = i[H, .] + sum_a j_a D^H(J_a).
+
+    D^H(J) = D(J^dag)^sadj, so G^H is the superadjoint of the Schroedinger
+    generator of the set with every J replaced by J^dag.
+    """
+    daggered = JumpSet(jumps.effective_hamiltonian,
+                       tuple(replace(t, operator=t.operator.conj().T) for t in jumps.terms))
+    return superadjoint(daggered.generator())
+
+
+# ---------------------------------------------------------------------------
+# second constructions of the slip, the resolvent, the poles, G_inf and the CP onset
+# ---------------------------------------------------------------------------
 
 def contour_residue(f, pole: complex, radius: float, n: int = 32) -> np.ndarray:
     """Residue of a matrix-valued analytic f by the trapezoid rule on a circle.
@@ -77,7 +269,7 @@ def regularized_slip(params: ModelParams,
     horizon = horizon_factor / min(abs(gam), math.pi * params.temperature)
     probe_end = min(horizon, 600.0 / abs(gam))  # keep exp(gamma t) in range
     ts = np.linspace(0.25 * probe_end, probe_end, 8)
-    coeff = np.exp(gam * ts) * g_tail(ts, params) + provider.g_dual(ts)
+    coeff = np.exp(gam * ts) * g_tail(ts, params) + g_dual_of_t(ts, params)
     norms = np.maximum(1.0, 0.5 * np.abs(coeff))
     over = np.flatnonzero(norms > 1e6)
     diverges = over.size > 0

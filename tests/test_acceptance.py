@@ -42,7 +42,6 @@ from rlmdual.markov import (
     semigroup_propagator_hat,
     slip_operator,
     slip_propagator_hat,
-    stationary_generator,
 )
 from rlmdual.model import (
     ANNIHILATOR,
@@ -53,7 +52,7 @@ from rlmdual.model import (
     RlmProvider,
     divisibility_max,
 )
-from rlmdual.scalars import ModelParams, g_stationary, k_hat
+from rlmdual.scalars import ModelParams, g_dual_of_t, g_stationary, k_hat
 from rlmdual.verify import (
     DEFAULT_PARAMS,
     check_fixed_point_stationary,
@@ -64,7 +63,14 @@ from rlmdual.verify import (
     run_suite,
 )
 
-from oracles import dyson_resolvent, fixed_point_by_quadrature, residue_slip
+from oracles import (
+    dyson_resolvent,
+    fixed_point_by_quadrature,
+    jump_set,
+    kraus_set,
+    residue_slip,
+    stationary_generator,
+)
 
 _T0 = time.time()
 
@@ -171,7 +177,7 @@ def test_03_kraus_layer():
             p = pr.propagator(t)
             ks = canonical_kraus(p, PARITY_OP)
             worst_recon = max(worst_recon, float(np.abs(ks.to_superoperator() - p).max()),
-                              float(np.abs(pr.kraus_set(t).to_superoperator() - p).max()))
+                              float(np.abs(kraus_set(pr, t).to_superoperator() - p).max()))
             worst_min = max(worst_min, float(-ks.coefficients.min()))
             worst_sum = max(worst_sum,
                             abs(ks.coefficients.sum() - 2.0),
@@ -253,7 +259,7 @@ def test_08_jump_layer():
     for th in PARAM_SETS[:3]:
         pr = RlmProvider(th)
         for t in (0.5, 1.5):
-            js = pr.jump_set(t)
+            js = jump_set(pr, t)
             worst_sum = max(worst_sum, abs(js.rates.sum() - th.gamma))
             canon = gksl_decompose(pr.generator(t), PARITY_OP)
             worst_ham = max(worst_ham, float(np.abs(
@@ -271,7 +277,7 @@ def test_08_jump_layer():
             heis_gen = 1j * th.gamma * identity_superop(2) \
                 - pmat @ RlmProvider(th.dual()).generator(t) @ pmat
             heis = gksl_decompose_heisenberg(heis_gen, PARITY_OP)
-            expected = sorted(0.5 * th.gamma * (1 - eta * pr.g_dual(t))
+            expected = sorted(0.5 * th.gamma * (1 - eta * g_dual_of_t(t, th))
                               for eta in (1, -1))
             worst_heis = max(worst_heis, float(np.abs(
                 np.sort(heis.rates) - expected).max()))

@@ -94,16 +94,15 @@ class TestDynamics:
             assert all(abs(float(x) - limit) <= 1e-12 for x in r[1:4]), r
 
     def test_current_matches_product_form(self, tmp_path):
-        from rlmdual.model import RlmProvider
-        from rlmdual.scalars import ModelParams
+        from rlmdual.scalars import ModelParams, g_dual_of_t
         out = tmp_path / "dyn.csv"
         assert run(["dynamics", "--out", str(out)]) == 0
         _, rows = read_csv(out)
-        pr = RlmProvider(ModelParams(0.5, 0.0, 0.25, 1.0))
+        th = ModelParams(0.5, 0.0, 0.25, 1.0)
         for r in rows:
             t = float(r[0])
             # gamma e^{-gamma t} (g_dual(t) + <parity>)/2 with <parity> = 1
-            assert abs(float(r[5]) - 0.5 * math.exp(-t) * (pr.g_dual(t) + 1.0)) < 1e-12
+            assert abs(float(r[5]) - 0.5 * math.exp(-t) * (g_dual_of_t(t, th) + 1.0)) < 1e-12
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "dyn.json"
@@ -160,14 +159,25 @@ class TestDivisibilityMap:
             assert abs(float(max_g) - float(exact)) < 1e-12
             assert max_g_dual == "inf"
 
-    @pytest.mark.parametrize("flag", ["--gamma=-1", "--gamma=0", "--T-range=-1,1",
-                                      "--T-range=0.5,-0.1"])
+    @pytest.mark.parametrize("flag", ["--gamma=-1", "--gamma=0", "--gamma=inf",
+                                      "--T-range=-1,1", "--T-range=0.5,-0.1"])
     def test_domain_errors_exit_two(self, flag, capsys):
-        # the axes are in units of gamma, and a negative temperature has no meaning
+        # the axes are in units of a finite gamma, and a negative temperature has no
+        # meaning; an infinite gamma is rejected before inf * 0 can warn
         assert run(["divisibility-map", "--grid", "2,2", flag]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("gamma", ["1e-13", "1e-200"])
+    def test_gamma_only_sets_the_unit(self, gamma, tmp_path):
+        # s -> u/gamma maps g's integral at (x gamma, y gamma, gamma) onto (x, y, 1), so
+        # the map does not depend on gamma; the T = 0 row's clamp is relative to gamma
+        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+        args = ["divisibility-map", "--grid", "2,2", "--T-range", "0,3"]
+        assert run(args + ["--gamma", "1", "--out", str(unit)]) == 0
+        assert run(args + ["--gamma", gamma, "--out", str(scaled)]) == 0
+        assert scaled.read_bytes() == unit.read_bytes()
 
     def test_json_writes_unbounded_as_inf(self, tmp_path):
         # strict JSON has no Infinity: an unbounded dual maximum is the text "inf"

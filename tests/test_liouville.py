@@ -11,22 +11,26 @@ from rlmdual.liouville import (
     commutator_superop,
     devectorize,
     dissipator,
-    dissipator_heisenberg,
     gksl_decompose,
     gksl_decompose_heisenberg,
     identity_superop,
     is_cp,
-    is_hermiticity_preserving,
     is_parity_covariant,
-    is_tp,
     lmul_rmul,
     matrix_from_json,
     matrix_to_json,
     parity_superop,
     spectral_decompose,
     superadjoint,
-    superop_from_choi,
     vectorize,
+)
+
+from oracles import (
+    dissipator_heisenberg,
+    heisenberg_generator,
+    is_hermiticity_preserving,
+    is_tp,
+    superop_from_choi,
 )
 
 rng = np.random.default_rng(42)
@@ -402,7 +406,7 @@ class TestGkslDecompose:
         js = gksl_decompose_heisenberg(gen_h, PARITY)
         assert np.abs(js.effective_hamiltonian - h).max() < 1e-10
         assert sorted(js.rates) == pytest.approx([0.4, 0.9], abs=1e-10)
-        assert np.abs(js.heisenberg_generator() - gen_h).max() < 1e-9
+        assert np.abs(heisenberg_generator(js) - gen_h).max() < 1e-9
 
 
 class TestJson:

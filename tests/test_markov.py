@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from rlmdual.liouville import (
     identity_superop,
     is_cp,
-    is_tp,
     parity_superop,
     superadjoint,
     vectorize,
@@ -25,7 +24,6 @@ from rlmdual.markov import (
     slip_operator,
     slip_propagator,
     slip_propagator_hat,
-    stationary_generator,
 )
 from rlmdual import markov, model
 from rlmdual.model import (
@@ -38,7 +36,15 @@ from rlmdual.model import (
 )
 from rlmdual.scalars import ModelParams, PoleError, k_hat
 
-from oracles import cp_onset_by_scan, heisenberg_via_slip, regularized_slip, residue_slip
+from oracles import (
+    cp_onset_by_scan,
+    heisenberg_via_slip,
+    is_tp,
+    regularized_slip,
+    residue_slip,
+    stationary_generator,
+    stationary_state,
+)
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -50,7 +56,7 @@ class TestSemigroup:
 
     def test_stationary_state_exact(self):
         pr = RlmProvider(TH)
-        rho_inf = vectorize(pr.stationary_state())
+        rho_inf = vectorize(stationary_state(TH))
         out = semigroup_propagator(5.0, TH) @ rho_inf
         assert np.abs(out - rho_inf).max() < 1e-9
         exact = pr.propagator(60.0) @ vectorize(np.diag([1.0, 0.0]).astype(complex))
@@ -175,7 +181,7 @@ class TestSlipPropagator:
 
     def test_converges_to_stationary(self):
         pr = RlmProvider(TH)
-        rho_inf = vectorize(pr.stationary_state())
+        rho_inf = vectorize(stationary_state(TH))
         one = vectorize(IDENTITY_OP)
         target = np.outer(rho_inf, one.conj())
         assert np.abs(slip_propagator(40.0, TH) - target).max() < 1e-8

@@ -15,12 +15,11 @@ from rlmdual.liouville import (
     identity_superop,
     is_cp,
     is_parity_covariant,
-    is_tp,
     spectral_decompose,
     superadjoint,
     vectorize,
 )
-from rlmdual import model
+from rlmdual import model, scalars
 from rlmdual.model import (
     ANNIHILATOR,
     CREATOR,
@@ -32,9 +31,19 @@ from rlmdual.model import (
     divisibility_max,
     pole_catalog,
 )
-from rlmdual.scalars import ModelParams, PoleError, g_of_t, k_hat
+from rlmdual.scalars import ModelParams, PoleError, g_dual_of_t, g_of_t, k_hat
 
-from oracles import dyson_resolvent, pole_growth
+from oracles import (
+    dyson_resolvent,
+    generator_spectral,
+    heisenberg_jump_rates,
+    is_tp,
+    jump_set,
+    kraus_set,
+    pole_growth,
+    propagator_spectral,
+    stationary_state,
+)
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -84,15 +93,15 @@ class TestPropagator:
             pr = RlmProvider(th)
             for t in times:
                 a = pr.propagator(t)
-                b = pr.propagator_spectral(t).to_superoperator()
-                c = pr.kraus_set(t).to_superoperator()
+                b = propagator_spectral(pr, t).to_superoperator()
+                c = kraus_set(pr, t).to_superoperator()
                 assert np.abs(a - b).max() < 1e-9
                 assert np.abs(a - c).max() < 1e-9
 
     def test_spectral_closed_form_vs_numeric(self):
         pr = RlmProvider(TH)
         t = 0.8
-        closed = pr.propagator_spectral(t)
+        closed = propagator_spectral(pr, t)
         numeric = spectral_decompose(pr.propagator(t))
         for mode in numeric.modes:
             partner = min(closed.modes, key=lambda m: abs(m.value - mode.value))
@@ -103,18 +112,18 @@ class TestPropagator:
 
     def test_fixed_point_at_resonance(self):
         pr = RlmProvider(ModelParams(0.3, 0.3, 0.5, 1.0))
-        mode = pr.propagator_spectral(1.0).modes[0]
+        mode = propagator_spectral(pr, 1.0).modes[0]
         assert np.abs(mode.right - 0.5 * IDENTITY_OP).max() < 1e-12
 
     def test_left_eigenvector_of_unit_eigenvalue_is_trace(self):
-        mode = RlmProvider(TH).propagator_spectral(0.7).modes[0]
+        mode = propagator_spectral(RlmProvider(TH), 0.7).modes[0]
         assert np.abs(mode.left - IDENTITY_OP).max() < 1e-12
 
     def test_reentrance(self):
         # preparing the time-t_r fixed point recovers it exactly at t_r
         pr = RlmProvider(TH)
         t_r = 1.3
-        rho0 = pr.propagator_spectral(t_r).modes[0].right
+        rho0 = propagator_spectral(pr, t_r).modes[0].right
         out = devectorize(pr.propagator(t_r) @ vectorize(rho0))
         assert np.abs(out - rho0).max() < 1e-8
 
@@ -155,16 +164,17 @@ class TestPropagator:
 
 
 @pytest.mark.parametrize("method, t", [
-    *(pytest.param(m, -1.0, id=m) for m in (
-        "generator", "generator_gflip", "jump_set", "heisenberg_jump_rates",
-        "propagator_spectral", "generator_spectral", "propagator", "kraus_set",
-        "kernel_smooth")),
-    *(pytest.param(m, np.array([0.5, -0.1]), id=f"{m}-array") for m in (
+    *(pytest.param(getattr(RlmProvider, m), -1.0, id=m) for m in (
+        "generator", "generator_gflip", "propagator", "kernel_smooth")),
+    # the closed forms in tests/oracles.py take the provider and the time
+    *(pytest.param(f, -1.0, id=f.__name__) for f in (
+        jump_set, heisenberg_jump_rates, propagator_spectral, generator_spectral, kraus_set)),
+    *(pytest.param(getattr(RlmProvider, m), np.array([0.5, -0.1]), id=f"{m}-array") for m in (
         "propagator", "generator", "generator_gflip", "kernel_smooth")),
 ])
 def test_negative_time_rejected(method, t):
     with pytest.raises(ValueError, match="nonnegative"):
-        getattr(RlmProvider(TH), method)(t)
+        method(RlmProvider(TH), t)
 
 
 class TestPropagatorStack:
@@ -203,8 +213,10 @@ class TestPropagatorStack:
     def test_g_and_p_from_one_call(self, monkeypatch):
         calls = {"g_and_p": [], "g_of_t": [], "g_dual_of_t": []}
         for name in calls:
-            monkeypatch.setattr(model, name,
-                                lambda t, th, name=name, real=getattr(model, name):
+            # model does not import g_dual_of_t: a call would come through scalars
+            home = scalars if name == "g_dual_of_t" else model
+            monkeypatch.setattr(home, name,
+                                lambda t, th, name=name, real=getattr(home, name):
                                 calls[name].append(t) or real(t, th))
         pr = RlmProvider(TH)
         ts = np.linspace(0.0, 5.0, 11)
@@ -231,7 +243,7 @@ class TestPropagatorStack:
 
 class TestKrausSet:
     def test_initial_weights(self):
-        ks = RlmProvider(TH).kraus_set(0.0)
+        ks = kraus_set(RlmProvider(TH), 0.0)
         coeffs = {(round(t.coefficient, 12), t.parity) for t in ks.terms}
         assert (2.0, 1) in coeffs
         assert all(abs(t.coefficient) < 1e-12 for t in ks.terms if t.parity == -1)
@@ -242,7 +254,7 @@ class TestKrausSet:
         for th, times in GRID:
             pr = RlmProvider(th)
             for t in times:
-                ks = pr.kraus_set(t)
+                ks = kraus_set(pr, t)
                 assert ks.coefficients.sum() == pytest.approx(2.0, abs=1e-10)
                 assert (ks.coefficients * ks.parities).sum() == pytest.approx(
                     2.0 * math.exp(-th.gamma * t), abs=1e-10)
@@ -251,12 +263,12 @@ class TestKrausSet:
         pr = RlmProvider(TH)
         for t in (0.4, 1.0, 3.0):
             canon = canonical_kraus(pr.propagator(t), PARITY_OP)
-            closed = pr.kraus_set(t)
+            closed = kraus_set(pr, t)
             assert np.abs(np.sort(canon.coefficients)
                           - np.sort(closed.coefficients)).max() < 1e-9
 
     def test_orthonormal_definite_parity(self):
-        ks = RlmProvider(TH).kraus_set(0.9)
+        ks = kraus_set(RlmProvider(TH), 0.9)
         ops = [t.operator for t in ks.terms]
         gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
         assert np.abs(gram - np.eye(4)).max() < 1e-12
@@ -286,7 +298,7 @@ class TestGenerator:
     def test_spectral_closed_form_vs_numeric(self):
         pr = RlmProvider(TH)
         t = 1.2
-        closed = pr.generator_spectral(t)
+        closed = generator_spectral(pr, t)
         assert np.abs(closed.to_superoperator() - pr.generator(t)).max() < 1e-12
         numeric = spectral_decompose(pr.generator(t))
         for mode in numeric.modes:
@@ -333,19 +345,19 @@ class TestGenerator:
 class TestJumpSet:
     def test_resonance_rates(self):
         pr = RlmProvider(ModelParams(0.2, 0.2, 0.4, 1.0))
-        js = pr.jump_set(1.7)
+        js = jump_set(pr, 1.7)
         assert np.allclose(js.rates, 0.5)
 
     def test_rate_sum_is_coupling(self):
         for th, times in GRID:
             pr = RlmProvider(th)
             for t in times:
-                assert pr.jump_set(t).rates.sum() == pytest.approx(th.gamma, abs=1e-12)
+                assert jump_set(pr, t).rates.sum() == pytest.approx(th.gamma, abs=1e-12)
 
     def test_matches_gksl_up_to_gauge(self):
         pr = RlmProvider(TH)
         t = 1.1
-        js = pr.jump_set(t)
+        js = jump_set(pr, t)
         canon = gksl_decompose(pr.generator(t), PARITY_OP)
         assert sorted(js.rates) == pytest.approx(sorted(canon.rates), abs=1e-9)
         assert np.abs(js.generator() - canon.generator()).max() < 1e-9
@@ -353,8 +365,8 @@ class TestJumpSet:
     def test_heisenberg_rates(self):
         pr = RlmProvider(TH)
         t = 0.6
-        jp, jm = pr.heisenberg_jump_rates(t)
-        gd = pr.g_dual(t)
+        jp, jm = heisenberg_jump_rates(pr, t)
+        gd = g_dual_of_t(t, TH)
         assert jp == pytest.approx(0.5 * TH.gamma * (1 - gd), abs=1e-12)
         assert jm == pytest.approx(0.5 * TH.gamma * (1 + gd), abs=1e-12)
 
@@ -459,7 +471,7 @@ class TestObservables:
         pr = RlmProvider(TH)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         for t in (0.3, 1.0):
-            expected = 0.5 * TH.gamma * math.exp(-TH.gamma * t) * (pr.g_dual(t) + 1.0)
+            expected = 0.5 * TH.gamma * math.exp(-TH.gamma * t) * (g_dual_of_t(t, TH) + 1.0)
             assert pr.current(t, rho0) == pytest.approx(expected, abs=1e-12)
 
     def test_current_matches_occupation_derivative(self):
@@ -475,7 +487,7 @@ class TestObservables:
 
     def test_stationary_current_vanishes(self):
         pr = RlmProvider(TH)
-        rho_inf = pr.stationary_state()
+        rho_inf = stationary_state(TH)
         assert abs(pr.current(25.0, rho_inf)) < 1e-9
         occ = pr.occupation(30.0, np.diag([1.0, 0.0]).astype(complex))
         assert occ == pytest.approx(np.trace(NUMBER_OP @ rho_inf).real, abs=1e-8)

@@ -14,14 +14,14 @@ from rlmdual.scalars import (
     g_dual_of_t,
     g_of_t,
     g_stationary,
-    g_tail,
     k_hat,
     k_hat_pole_ladder,
-    k_of_t,
     p_of_t,
     QuadratureError,
     weighted_kernel_grid,
 )
+
+from oracles import g_tail, k_of_t
 
 EULER = 0.5772156649015328606
 

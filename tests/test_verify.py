@@ -7,7 +7,7 @@ import pytest
 
 from rlmdual.liouville import canonical_kraus, choi_of, vectorize
 from rlmdual.model import PARITY_OP, RlmProvider
-from rlmdual.scalars import ModelParams
+from rlmdual.scalars import ModelParams, g_dual_of_t
 from rlmdual.verify import (
     DEFAULT_FREQS,
     DEFAULT_PARAMS,
@@ -33,7 +33,13 @@ from rlmdual.verify import (
     run_tabulated_suite,
 )
 
-from oracles import fixed_point_by_quadrature, kernel_mode_integral
+from oracles import (
+    fixed_point_by_quadrature,
+    heisenberg_jump_rates,
+    kernel_mode_integral,
+    kraus_set,
+    stationary_state,
+)
 
 TH = ModelParams(0.5, 0.0, 0.25, 1.0)
 HOT = ModelParams(0.5, 0.0, 1e4, 1.0)
@@ -223,8 +229,8 @@ class TestKrausChecks:
         pr = RlmProvider(TH)
         prd = RlmProvider(TH.dual())
         t = 0.8
-        ks = {(tm.parity, i): tm for i, tm in enumerate(pr.kraus_set(t).terms)}
-        kd = {(tm.parity, i): tm for i, tm in enumerate(prd.kraus_set(t).terms)}
+        ks = {(tm.parity, i): tm for i, tm in enumerate(kraus_set(pr, t).terms)}
+        kd = {(tm.parity, i): tm for i, tm in enumerate(kraus_set(prd, t).terms)}
         decay = math.exp(-TH.gamma * t)
         for key, tm in ks.items():
             parity = key[0]
@@ -235,7 +241,7 @@ class TestKrausChecks:
     def test_sum_rules(self):
         pr = RlmProvider(TH)
         for t, expect_even in ((0.0, 2.0), (40.0, 1.0)):
-            ks = pr.kraus_set(t)
+            ks = kraus_set(pr, t)
             rep = check_kraus_sum_rules(ks, TH.gamma, t, 2, 1e-8, TH)
             assert rep.passed
             even = ks.coefficients[ks.parities > 0].sum()
@@ -269,10 +275,10 @@ class TestJumpDuality:
         t = 1.0
         rep = check_jump_duality(FAM, TH, t, 1e-7)
         assert rep.passed
-        jp, jm = pr.heisenberg_jump_rates(t)
+        jp, jm = heisenberg_jump_rates(pr, t)
         assert {round(jp, 9), round(jm, 9)} == {
-            round(0.5 * TH.gamma * (1 - pr.g_dual(t)), 9),
-            round(0.5 * TH.gamma * (1 + pr.g_dual(t)), 9)}
+            round(0.5 * TH.gamma * (1 - g_dual_of_t(t, TH)), 9),
+            round(0.5 * TH.gamma * (1 + g_dual_of_t(t, TH)), 9)}
 
     def test_hot_limit(self):
         rep = check_jump_duality(FAM, HOT, 0.7, 1e-6)
@@ -336,7 +342,7 @@ class TestFixedPoints:
     def test_zero_frequency_shares_stationary_eigenvector(self):
         pr = RlmProvider(TH)
         k0 = pr.memory_kernel_hat(0.0)
-        rho_inf = vectorize(pr.stationary_state())
+        rho_inf = vectorize(stationary_state(TH))
         assert np.abs(k0 @ rho_inf).max() < 1e-9
 
     def test_hot_limit_kernel_equals_generator(self):
