@@ -470,25 +470,3 @@ def gksl_decompose_heisenberg(gen_h: np.ndarray, parity_op: np.ndarray) -> JumpS
     """
     return _gksl_core(superadjoint(gen_h), parity_op, "unit")._daggered()
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization (row-major [re, im] pairs)
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Serialize an operator or superoperator matrix with its conventions."""
-    m = np.asarray(m, dtype=complex)
-    side = m.shape[0]
-    dim = int(round(np.sqrt(side)))
-    entries = [[[float(x.real), float(x.imag)] for x in row] for row in m]
-    return {
-        "dim": dim if dim * dim == side else side,
-        "basis_convention": BASIS_CONVENTION,
-        "entries": entries,
-    }
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    if doc.get("basis_convention", BASIS_CONVENTION) != BASIS_CONVENTION:
-        raise ValueError("unsupported basis convention")
-    return np.array([[complex(x[0], x[1]) for x in row] for row in doc["entries"]])

@@ -21,6 +21,7 @@ from .scalars import (
     ModelParams,
     PoleError,
     _Cells,
+    _check_series_temperature,
     _g,
     g_and_p,
     g_of_t,
@@ -293,6 +294,7 @@ def divisibility_max(which: str, detuning, temperature, gamma):
     cells = np.broadcast_arrays(detuning, temperature, gamma)
     if not (np.isfinite(cells).all() and (cells[1] > 0.0).all()):
         raise ValueError("model parameters must be finite, the temperature positive")
+    _check_series_temperature(cells[1].max())
     sign = 1.0 if which == "g" else -1.0
     delta, temp, gamma = (c.ravel() * s for c, s in zip(cells, (sign, 1.0, sign)))
     live = (delta != 0.0) & (gamma >= -2.0 * math.pi * temp)

@@ -161,6 +161,14 @@ def _times(t) -> tuple[np.ndarray, bool]:
 _Cells = namedtuple("_Cells", "detuning temperature gamma")
 
 
+def _check_series_temperature(temp):
+    if math.isinf(_TWO_PI * 82 * float(temp)):   # the last rate, 2 pi T 81.5 + gamma/2
+        t_max = np.finfo(float).max / (_TWO_PI * 82)
+        raise ValueError(f"temperature {temp:.17g} exceeds {t_max:.17g}, where the "
+                         "rates 2 pi T (n + 1/2) of the thermal series leave double range")
+
+
+@np.errstate(over="ignore")   # t b_n past DBL_MAX: the term is e^{-inf} = 0
 def _series(ts: np.ndarray, params: ModelParams):
     """4T sum_n Im q_n, the terms q_n = e^{-b_n t}/b_n and the rates b_n, for 2 pi T t >= 1/2.
 
@@ -188,6 +196,7 @@ def g_of_t(t, params: ModelParams):
     instead.
     """
     ts, scalar = _times(t)
+    _check_series_temperature(params.temperature)
     out = _g(ts, params) if params.detuning else np.zeros_like(ts)
     return float(out[0]) if scalar else out
 
@@ -264,7 +273,9 @@ def _p_small(ts: np.ndarray, params: ModelParams) -> np.ndarray:
         beta = _TWO_PI * temp * (np.arange(82) + 0.5) - 1j * params.detuning
         x, y = beta * sig, a * sig   # e^{-beta t} - e^{-beta s_0} cosh(y), free of cancellation
         rest = np.exp(-beta * s0) * (np.expm1(-x) + x * _shc(y) - 2.0 * np.sinh(0.5 * y) ** 2)
-        out[far] += 4.0 * temp * (rest / ((beta ** 2 - a * a) * t * _shc(a * t))).imag.sum(axis=1)
+        # beta^2 - a^2 over beta: beta^2 overflows past T ~ 2.6e151; 4T joins before Im ~ delta/T^2
+        den = (beta - a * a / beta) * t * _shc(a * t)
+        out[far] += (rest / beta * (4.0 * temp / den)).imag.sum(axis=1)
     return out
 
 
@@ -280,6 +291,7 @@ def g_and_p(t, params: ModelParams):
     past gamma t = 80, before g_dual alone overflows.
     """
     ts, scalar = _times(t)
+    _check_series_temperature(params.temperature)
     g, p, own, other = np.zeros((4,) + ts.shape)   # the identity: own + e^{-gamma t} other
     if params.detuning:
         temp, gam, dual = params.temperature, params.gamma, params.dual()

@@ -547,22 +547,10 @@ def check_fixed_point_stationary(family: SuperOpFamily, params: ModelParams,
                    {"sampling_path": res_sample})
 
 
-def _functional_residual(family, params, t, n, heisenberg):
-    """Residual of the (anti-)time-ordered functional fixed point at step count n."""
+def _functional_residual(family, params, t, n):
+    """Residual of the anti-time-ordered functional fixed point at step count n."""
     from scipy.linalg import expm
-    dual, gam, pmat, ident = _frame(family, params)
-
-    if heisenberg:
-        gen = lambda r: 1j * gam * ident - pmat @ family.generator(r, dual) @ pmat
-        k_delta = superadjoint(family.kernel_delta(params))
-        k_smooth = lambda s: superadjoint(family.kernel_smooth(s, params))
-        sign = -1.0
-    else:
-        gen = lambda r: family.generator(r, params)
-        k_delta = family.kernel_delta(params)
-        k_smooth = lambda s: family.kernel_smooth(s, params)
-        sign = 1.0
-
+    ident = identity_superop(family.dim)
     h = t / n
     grid = np.linspace(0.0, t, n + 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -571,34 +559,32 @@ def _functional_residual(family, params, t, n, heisenberg):
     u = np.empty((n + 1,) + ident.shape, dtype=complex)
     u[n] = ident
     for j in range(n - 1, -1, -1):
-        u[j] = expm(sign * 1j * h * gen(mids[j])) @ u[j + 1]
-    integrand = k_smooth(t - grid) @ u
+        u[j] = expm(1j * h * family.generator(mids[j], params)) @ u[j + 1]
+    integrand = family.kernel_smooth(t - grid, params) @ u
     integrand[0] = 0.5 * (integrand[0] + integrand[-1])   # trapezoid end weights
-    rhs = k_delta + h * integrand[:-1].sum(axis=0)
-    return _maxabs(gen(t) - rhs)
+    rhs = family.kernel_delta(params) + h * integrand[:-1].sum(axis=0)
+    return _maxabs(family.generator(t, params) - rhs)
 
 
 def check_functional_fixed_point(family: SuperOpFamily, params: ModelParams,
                                  t: float, n_steps: int = 400,
-                                 tol: float = 1e-3,
-                                 heisenberg: bool = False) -> ResidualReport:
+                                 tol: float = 1e-3) -> ResidualReport:
     """Time-local generator as an anti-time-ordered functional of the kernel.
 
-    The residual at ``n_steps`` is reported together with its behavior under
-    step halving; exactness of the relation shows as a quadratic ratio (about
-    four) until the quadrature floor is reached.
+    Reports the residual at ``n_steps`` and its ratio under step halving, about four
+    (quadratic) for an exact relation; the Heisenberg picture is this check on a
+    family with generator -(i G 1 - P G_dual P) and kernels -K^sadj.
     """
     family.require("generator", "kernel_delta", "kernel_smooth")
-    coarse = _functional_residual(family, params, t, n_steps, heisenberg)
-    fine = _functional_residual(family, params, t, 2 * n_steps, heisenberg)
+    coarse = _functional_residual(family, params, t, n_steps)
+    fine = _functional_residual(family, params, t, 2 * n_steps)
     ratio = coarse / fine if fine > 0 else math.inf
     # quadratic when the trapezoid resolves the kernel; first order when the
     # thermal spike is narrower than a step; a broken identity saturates at 1
     passed_scaling = ratio >= 1.5 or fine < 1e-9
     witness = {"residual_coarse": coarse, "residual_fine": fine,
                "halving_ratio": ratio, "n_steps": n_steps}
-    rid = "functional_fixed_point_heisenberg" if heisenberg else "functional_fixed_point"
-    report = _report(rid, params, [t], fine, tol, witness)
+    report = _report("functional_fixed_point", params, [t], fine, tol, witness)
     report.passed = report.passed and passed_scaling
     return report
 
@@ -718,14 +704,14 @@ def _theta_from_json(obj) -> ModelParams:
 
 
 def family_to_json(family: SuperOpFamily, params_list, times, freqs) -> dict:
-    """Tabulate a family on a sample set (duals included) as a JSON document."""
+    """Tabulate a family on a sample set (duals included); a matrix is rows of [re, im] pairs."""
     samples = []
 
     def add(kind, arg, theta, matrix):
         arg_json = [arg.real, arg.imag] if isinstance(arg, complex) else float(arg)
         samples.append({"kind": kind, "arg": arg_json,
                         "theta": _theta_to_json(theta),
-                        "matrix": lv.matrix_to_json(matrix)["entries"]})
+                        "matrix": np.stack([np.real(matrix), np.imag(matrix)], -1).tolist()})
 
     for params in params_list:
         thetas = (params, family.dual_map(params))
@@ -786,7 +772,7 @@ def family_from_json(doc) -> TabulatedFamily:
             theta = _theta_from_json(s["theta"])
             arg = s["arg"]
             arg = complex(arg[0], arg[1]) if isinstance(arg, list) else float(arg)
-            matrix = lv.matrix_from_json({"entries": s["matrix"]})
+            matrix = np.array([[complex(x[0], x[1]) for x in row] for row in s["matrix"]])
             if matrix.shape != (dim * dim, dim * dim):
                 raise ValueError(f"{s['kind']} sample at {arg} for {theta} is not "
                                  f"{dim * dim}x{dim * dim}")

@@ -6,9 +6,11 @@ its general machinery instead: the spectral, measurement-operator (Kraus) and
 jump forms of the propagator and generator, which the package takes from
 ``liouville``'s decompositions; the Heisenberg jump rates; the stationary
 state and generator; the tail g - g_inf as its exponential series; the kernel
-amplitude k(t); and the Choi inverse, the trace-preservation and
+amplitude k(t); the Choi inverse, the trace-preservation and
 Hermiticity-preservation predicates, the Heisenberg dissipator and the
-Heisenberg generator of a jump set.  The second group builds the slip, the
+Heisenberg generator of a jump set; the family whose functional fixed point is
+the Heisenberg picture's; and the per-matrix JSON pair, whose entries the
+package's family tabulation writes directly.  The second group builds the slip, the
 resolvent, the pole catalog, G_inf and the CP onset another way (contour
 residues, a regularized Laplace transform, growth on shrinking circles, the
 Dyson inverse, a similarity transform, time-domain quadrature of the memory
@@ -22,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from rlmdual.liouville import (
+    BASIS_CONVENTION,
     JumpSet,
     JumpTerm,
     KrausSet,
@@ -30,7 +33,9 @@ from rlmdual.liouville import (
     SpectralMode,
     choi_of,
     dissipator,
+    identity_superop,
     is_cp,
+    parity_superop,
     spectral_decompose,
     superadjoint,
     vectorize,
@@ -203,6 +208,43 @@ def heisenberg_generator(jumps: JumpSet) -> np.ndarray:
     daggered = JumpSet(jumps.effective_hamiltonian,
                        tuple(replace(t, operator=t.operator.conj().T) for t in jumps.terms))
     return superadjoint(daggered.generator())
+
+
+def heisenberg_family(family):
+    """The family whose functional fixed point is the Heisenberg picture of ``family``'s.
+
+    Its generator is -G^H = -(i G 1 - P G(t, dual) P) and its kernels are -K^sadj, so
+    the plain check takes the ordered product of exp(-i h G^H) and compares G^H with
+    the superadjoint kernels, both sides negated: the residual of the Heisenberg
+    relation, bit for bit.
+    """
+    pmat, ident = parity_superop(family.parity_op), identity_superop(family.dim)
+    return replace(
+        family,
+        generator=lambda t, p: -(1j * family.gamma_sum(p) * ident
+                                 - pmat @ family.generator(t, family.dual_map(p)) @ pmat),
+        kernel_delta=lambda p: -superadjoint(family.kernel_delta(p)),
+        kernel_smooth=lambda t, p: -superadjoint(family.kernel_smooth(t, p)),
+    )
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    """Serialize an operator or superoperator matrix as row-major [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    side = m.shape[0]
+    dim = int(round(np.sqrt(side)))
+    entries = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return {
+        "dim": dim if dim * dim == side else side,
+        "basis_convention": BASIS_CONVENTION,
+        "entries": entries,
+    }
+
+
+def matrix_from_json(doc: dict) -> np.ndarray:
+    if doc.get("basis_convention", BASIS_CONVENTION) != BASIS_CONVENTION:
+        raise ValueError("unsupported basis convention")
+    return np.array([[complex(x[0], x[1]) for x in row] for row in doc["entries"]])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import rlmdual
 from rlmdual import cli
 from rlmdual.cli import main
 
+from oracles import matrix_to_json
+
 
 def run(args):
     return main(args)
@@ -93,6 +95,15 @@ class TestDynamics:
             limit = 0.0 if flag == "--eps" else -math.expm1(-t)
             assert all(abs(float(x) - limit) <= 1e-12 for x in r[1:4]), r
 
+    def test_huge_temperature_is_the_hot_limit(self, tmp_path):
+        # past T ~ 2.6e151 p's rates squared overflowed into nan; the T-dependent part of
+        # every column is of order 1/T, below rounding at both temperatures
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["dynamics", "--T", "1e150", "--out", str(a)]) == 0
+        assert run(["dynamics", "--T", "1e200", "--out", str(b)]) == 0
+        assert "nan" not in b.read_text()
+        assert a.read_bytes() == b.read_bytes()
+
     def test_current_matches_product_form(self, tmp_path):
         from rlmdual.scalars import ModelParams, g_dual_of_t
         out = tmp_path / "dyn.csv"
@@ -160,10 +171,12 @@ class TestDivisibilityMap:
             assert max_g_dual == "inf"
 
     @pytest.mark.parametrize("flag", ["--gamma=-1", "--gamma=0", "--gamma=inf",
-                                      "--T-range=-1,1", "--T-range=0.5,-0.1"])
+                                      "--T-range=-1,1", "--T-range=0.5,-0.1",
+                                      "--T-range=0,1e308"])
     def test_domain_errors_exit_two(self, flag, capsys):
         # the axes are in units of a finite gamma, and a negative temperature has no
-        # meaning; an infinite gamma is rejected before inf * 0 can warn
+        # meaning; an infinite gamma is rejected before inf * 0 can warn, and a
+        # temperature whose series rates 2 pi T (n + 1/2) pass DBL_MAX before they form
         assert run(["divisibility-map", "--grid", "2,2", flag]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -314,6 +327,13 @@ class TestDualityCheck:
         reports = json.loads(out.read_text())
         assert len(reports) == 12
         assert all(r["pass"] for r in reports)
+
+    def test_huge_temperature_passes(self, tmp_path):
+        # p at t = 0.1 < 0.3/gamma takes its far branch, whose rates squared overflowed
+        out = tmp_path / "report.json"
+        assert run(["duality-check", "--params=0.5,0,1e200,1", "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 12 and all(r["pass"] for r in reports)
 
     def test_perturbation_flips_exit_code(self, tmp_path):
         out = tmp_path / "report.json"
@@ -520,8 +540,11 @@ class TestErrors:
         (["duality-check", "--tol", "foo=1"], "names no relation: 'foo'"),
         (["duality-check", "--params", "0.5,0,0.25,1e-300"],
          "functional_fixed_point residual is NaN"),
+        (["dynamics", "--T", "1e306"], "thermal series"),
+        (["duality-check", "--params", "0.5,0,1e306,1"], "thermal series"),
     ], ids=["markov_T0", "markov_gamma_negative", "rho0_vector", "duality_eps_1e300",
-            "tol_nan", "tol_negative", "tol_unknown", "gamma_1e-300"])
+            "tol_nan", "tol_negative", "tol_unknown", "gamma_1e-300", "dynamics_T_1e306",
+            "duality_T_1e306"])
     def test_input_and_domain_contract(self, argv, message, tmp_path, capsys):
         # a RuntimeWarning is an error here; nothing is written where the run fails
         out = tmp_path / "out.txt"
@@ -531,8 +554,15 @@ class TestErrors:
         assert message in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["frequency-map", "--grid", "3,3"],
+                                      ["markov", "--grid", "2,2"]], ids=["frequency", "markov"])
+    def test_series_free_commands_take_a_huge_temperature(self, argv, capsys):
+        # neither forms the thermal series whose rates leave double range past T = 3.49e305
+        assert run(argv + ["--T", "1e306"]) == 0
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and captured.err == ""
+
     def test_family_not_hermiticity_preserving_exits_two(self, tmp_path, capsys):
-        from rlmdual.liouville import matrix_to_json
         from rlmdual.scalars import ModelParams
         th = ModelParams(0.5, 0.0, 0.25, 1.0)
         entries = matrix_to_json(np.diag([1.0, 2.0, 3.0, 1.0]))["entries"]

@@ -96,7 +96,7 @@ MOVED = {
                           "jump_set", "heisenberg_jump_rates", "g_dual", "stationary_state"),
     "scalars": ("g_tail", "k_of_t"),
     "liouville": ("superop_from_choi", "is_tp", "is_hermiticity_preserving",
-                  "dissipator_heisenberg"),
+                  "dissipator_heisenberg", "matrix_to_json", "matrix_from_json"),
     "liouville.JumpSet": ("heisenberg_generator",),
     "markov": ("stationary_generator",),
 }

@@ -17,8 +17,6 @@ from rlmdual.liouville import (
     is_cp,
     is_parity_covariant,
     lmul_rmul,
-    matrix_from_json,
-    matrix_to_json,
     parity_superop,
     spectral_decompose,
     superadjoint,
@@ -30,6 +28,8 @@ from oracles import (
     heisenberg_generator,
     is_hermiticity_preserving,
     is_tp,
+    matrix_from_json,
+    matrix_to_json,
     superop_from_choi,
 )
 

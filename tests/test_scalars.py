@@ -396,6 +396,30 @@ class TestClosedFormAgainstMpmath:
         assert np.isfinite(g_of_t(np.array([0.5, 3.0]), th)).all()
 
 
+class TestHugeTemperature:
+    # past 2 pi T t >= 1/2 the thermal spike of k is far narrower than every sampled t,
+    # so g and p equal the constant g_c = delta/(2T) to rounding; a warning fails the run
+    @pytest.mark.parametrize("temp", [1e152, 1e200, 1e305])
+    def test_g_and_p_reach_the_stationary_constant(self, temp):
+        # p's far branch at |gamma t| < 0.3 (t = 0.1, 0.2) squared its rates, past
+        # T = 2.6e151, and took Im of a quotient of order delta/T^2; at T = 1e305 the
+        # products t b_n of g's series pass DBL_MAX, where each term is e^{-inf} = 0
+        th = ModelParams(0.5, 0.0, temp, 1.0)
+        ts = np.array([0.1, 0.2, 1.0, 5.0])
+        g, p = g_and_p(ts, th)
+        g_c = g_stationary(th)
+        assert g_c == pytest.approx(0.25 / temp, rel=1e-12)
+        assert np.abs(g - g_c).max() <= 1e-12 * g_c
+        assert np.abs(p - g_c).max() <= 1e-12 * g_c
+        assert np.array_equal(g_of_t(ts, th), g)
+
+    @pytest.mark.parametrize("fn", [g_of_t, p_of_t])
+    def test_rates_past_double_range_are_rejected(self, fn):
+        # from 2 pi T 82 > DBL_MAX (T > 3.49e305) the series rates themselves overflow
+        with pytest.raises(ValueError, match="thermal series"):
+            fn(1.0, ModelParams(0.5, 0.0, 3.5e305, 1.0))
+
+
 class TestDigamma:
     def test_special_values(self):
         assert digamma_complex(1.0) == pytest.approx(-EULER, rel=1e-13)

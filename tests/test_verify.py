@@ -35,6 +35,7 @@ from rlmdual.verify import (
 
 from oracles import (
     fixed_point_by_quadrature,
+    heisenberg_family,
     heisenberg_jump_rates,
     kernel_mode_integral,
     kraus_set,
@@ -174,6 +175,36 @@ class TestDegeneratePoints:
             assert rep.passed
         else:
             assert not rep.passed
+
+
+def _conjugated_at(family, name, points):
+    """``family`` with callback ``name`` conjugated by S = 1 + 0.01 e1 e0^T at ``points``.
+
+    S keeps every eigenvalue but mixes the parity sectors, so no duality survives it.
+    """
+    s = np.eye(4)
+    s[1, 0] = 0.01
+    f = getattr(family, name)
+    return replace(family, **{name: lambda x, p: s @ f(x, p) @ np.linalg.inv(s)
+                              if p in points else f(x, p)})
+
+
+class TestMutationMatrix:
+    def test_every_relation_fails_at_every_point_under_a_mutation(self):
+        # perturbed_family cannot break the kernel relations where eps = mu: the smooth
+        # kernel vanishes there and K_hat is flat, so the scaled kernel keeps its duality;
+        # the dual kernel_hat conjugated by S breaks them
+        points = DEFAULT_PARAMS + DEGENERATE_POINTS
+        mutations = (perturbed_family(FAM, 1.01),
+                     _conjugated_at(FAM, "kernel_hat", {p.dual() for p in points}))
+        passed = []
+        for fam in mutations:
+            reports = run_suite(fam, points)
+            assert len(reports) == len(DEFAULT_TOLERANCES) * len(points)
+            passed.append({(r.relation_id, r.params) for r in reports if r.passed})
+        eps_mu = ModelParams(0.0, 0.0, 0.4, 1.0)
+        assert passed[0] == {("kernel_duality", eps_mu), ("spectral_cross_kernel_hat", eps_mu)}
+        assert passed[0] & passed[1] == set()
 
 
 class TestKernelDuality:
@@ -356,7 +387,7 @@ class TestFixedPoints:
 
     def test_functional_heisenberg(self):
         rep_s = check_functional_fixed_point(FAM, TH, 2.0, 200, 1e-3)
-        rep_h = check_functional_fixed_point(FAM, TH, 2.0, 200, 1e-3, heisenberg=True)
+        rep_h = check_functional_fixed_point(heisenberg_family(FAM), TH, 2.0, 200, 1e-3)
         assert rep_h.passed
         assert rep_h.max_residual < 10 * rep_s.max_residual
 

@@ -1,7 +1,9 @@
 """Time rlmdual as a user runs it: whole processes, and the tier-1 test run.
 
 Writes ``BENCH_<label>.json`` with the machine's facts (cores, CPU model,
-Python, numpy and scipy versions, BLAS thread variables), the wall time of
+Python, numpy and scipy versions, BLAS thread variables, whether the children
+can write bytecode caches: without them every ``import rlmdual.cli`` compiles
+the package again, about 10 % of its import time), the wall time of
 ``import rlmdual.cli`` next to that of numpy plus scipy.special alone, each of
 the five subcommands at its default size, and the tier-1 run.  Process times
 are the median of 3 runs; every run is kept as well.
@@ -67,6 +69,16 @@ def _revision(tree: str) -> str | None:
     return out.stdout.strip() or None
 
 
+def _bytecode_caches(env: dict, src: str) -> dict:
+    """What decides whether a child process writes ``__pycache__`` next to the package."""
+    code = "import sys; print(sys.flags.dont_write_bytecode)"
+    flag = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    return {"PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": flag != "0",
+            "package_dir_writable": os.access(os.path.join(src, "rlmdual"), os.W_OK)}
+
+
 def _timed(argv: list[str], env: dict, cwd: str) -> float:
     start = time.perf_counter()
     subprocess.run(argv, env=env, cwd=cwd, check=True,
@@ -95,6 +107,7 @@ def measure(tree: str) -> dict:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "blas_threads": {var: env[var] for var in BLAS_VARS},
+            "bytecode_caches": _bytecode_caches(env, src),
         },
         "repeats": REPEATS,
         "process_wall_s": {},
